@@ -230,11 +230,11 @@ pub fn reduce_basis<C: Field>(ring: &Ring, basis: &[GenPoly<C>]) -> Vec<GenPoly<
     let mut w = Work::default();
     let mut out: Vec<GenPoly<C>> = Vec::with_capacity(keep.len());
     for i in 0..keep.len() {
-        let others: Vec<GenPoly<C>> = keep
+        let others: Vec<&GenPoly<C>> = keep
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != i)
-            .map(|(_, p)| p.clone())
+            .map(|(_, p)| p)
             .collect();
         out.push(normal_form(ring, &keep[i], &others, &mut w).monic());
     }

@@ -45,18 +45,27 @@ impl Monomial {
         self.e.iter().all(|&x| x == 0)
     }
 
-    /// Product of two monomials.
+    /// Product of two monomials: a lane-wise add with one overflow check
+    /// for all lanes (the loop stays branch-free and vectorizes).
     pub fn mul(&self, other: &Monomial) -> Monomial {
         let mut e = [0u16; MAX_VARS];
+        let mut overflow = false;
         for (out, (a, b)) in e.iter_mut().zip(self.e.iter().zip(&other.e)) {
-            *out = a.checked_add(*b).expect("monomial exponent overflow");
+            let (sum, o) = a.overflowing_add(*b);
+            *out = sum;
+            overflow |= o;
         }
+        assert!(!overflow, "monomial exponent overflow");
         Monomial { e }
     }
 
-    /// True when `self` divides `other` componentwise.
+    /// True when `self` divides `other` componentwise. Every lane is
+    /// tested (no short-circuit), so the loop is branch-free.
     pub fn divides(&self, other: &Monomial) -> bool {
-        self.e.iter().zip(&other.e).all(|(a, b)| a <= b)
+        self.e
+            .iter()
+            .zip(&other.e)
+            .fold(true, |ok, (a, b)| ok & (a <= b))
     }
 
     /// `other / self`, if `self` divides it.
@@ -69,6 +78,14 @@ impl Monomial {
             *out = a - b;
         }
         Some(Monomial { e })
+    }
+
+    /// The exponents packed big-endian into one integer: `x0`'s exponent
+    /// in the top 16 bits. Integer order on keys is lex order on the
+    /// full exponent vectors, which equals lex order over any arity
+    /// because exponents past the ring's arity are zero.
+    pub fn lex_key(&self) -> u128 {
+        self.e.iter().fold(0, |k, &x| (k << 16) | u128::from(x))
     }
 
     /// Least common multiple (componentwise max).
@@ -122,39 +139,35 @@ pub enum Order {
 }
 
 impl Order {
-    /// Compare two monomials in this order over the first `nvars`
-    /// variables. Returns `Greater` when `a` is the larger monomial.
-    pub fn cmp(&self, a: &Monomial, b: &Monomial, nvars: usize) -> Ordering {
+    /// The sort key of `m`: integer order on keys is this term order.
+    /// The lanes past a ring's arity are zero in every monomial, so the
+    /// key needs no arity and compares all `MAX_VARS` lanes at once.
+    /// Merges compute it once per term.
+    pub fn key(&self, m: &Monomial) -> (u32, u128) {
         match self {
-            Order::Lex => {
-                for i in 0..nvars {
-                    match a.e[i].cmp(&b.e[i]) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                Ordering::Equal
-            }
-            Order::GrLex => a
-                .degree()
-                .cmp(&b.degree())
-                .then_with(|| Order::Lex.cmp(a, b, nvars)),
-            Order::GRevLex => a.degree().cmp(&b.degree()).then_with(|| {
-                for i in (0..nvars).rev() {
-                    match b.e[i].cmp(&a.e[i]) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                Ordering::Equal
-            }),
+            Order::Lex => (0, m.lex_key()),
+            Order::GrLex => (m.degree(), m.lex_key()),
+            // Degree ties go to the smaller exponent at the last
+            // differing variable: pack the lanes last-variable-first and
+            // invert.
+            Order::GRevLex => (
+                m.degree(),
+                !m.e.iter().rev().fold(0, |k, &x| (k << 16) | u128::from(x)),
+            ),
         }
+    }
+
+    /// Compare two monomials in this order. Returns `Greater` when `a` is
+    /// the larger monomial.
+    pub fn cmp(&self, a: &Monomial, b: &Monomial) -> Ordering {
+        self.key(a).cmp(&self.key(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earth_testkit::prelude::*;
 
     fn m(exps: &[u16]) -> Monomial {
         Monomial::from_exps(exps)
@@ -186,26 +199,33 @@ mod tests {
     fn lex_order() {
         let o = Order::Lex;
         // x0 > x1^5 in lex
-        assert_eq!(o.cmp(&m(&[1, 0]), &m(&[0, 5]), 2), Ordering::Greater);
-        assert_eq!(o.cmp(&m(&[1, 2]), &m(&[1, 3]), 2), Ordering::Less);
-        assert_eq!(o.cmp(&m(&[2, 2]), &m(&[2, 2]), 2), Ordering::Equal);
+        assert_eq!(o.cmp(&m(&[1, 0]), &m(&[0, 5])), Ordering::Greater);
+        assert_eq!(o.cmp(&m(&[1, 2]), &m(&[1, 3])), Ordering::Less);
+        assert_eq!(o.cmp(&m(&[2, 2]), &m(&[2, 2])), Ordering::Equal);
+        // A full lane never spills into the packed key's next lane.
+        for i in 0..MAX_VARS - 1 {
+            let (mut lo, mut hi) = (Monomial::ONE, Monomial::ONE);
+            lo.e[i + 1] = u16::MAX;
+            hi.e[i] = 1;
+            assert_eq!(o.cmp(&lo, &hi), Ordering::Less, "lane {i}");
+        }
     }
 
     #[test]
     fn grlex_order() {
         let o = Order::GrLex;
         // degree dominates
-        assert_eq!(o.cmp(&m(&[0, 3]), &m(&[2, 0]), 2), Ordering::Greater);
+        assert_eq!(o.cmp(&m(&[0, 3]), &m(&[2, 0])), Ordering::Greater);
         // ties by lex
-        assert_eq!(o.cmp(&m(&[2, 1]), &m(&[1, 2]), 2), Ordering::Greater);
+        assert_eq!(o.cmp(&m(&[2, 1]), &m(&[1, 2])), Ordering::Greater);
     }
 
     #[test]
     fn grevlex_order() {
         let o = Order::GRevLex;
-        assert_eq!(o.cmp(&m(&[0, 3]), &m(&[2, 0]), 2), Ordering::Greater);
+        assert_eq!(o.cmp(&m(&[0, 3]), &m(&[2, 0])), Ordering::Greater);
         // classic grevlex tiebreak: x0*x2 < x1^2 in 3 vars
-        assert_eq!(o.cmp(&m(&[1, 0, 1]), &m(&[0, 2, 0]), 3), Ordering::Less);
+        assert_eq!(o.cmp(&m(&[1, 0, 1]), &m(&[0, 2, 0])), Ordering::Less);
     }
 
     #[test]
@@ -223,13 +243,13 @@ mod tests {
         for o in [Order::Lex, Order::GrLex, Order::GRevLex] {
             for a in &mons {
                 for b in &mons {
-                    let ab = o.cmp(a, b, 3);
-                    let acbc = o.cmp(&a.mul(&c), &b.mul(&c), 3);
+                    let ab = o.cmp(a, b);
+                    let acbc = o.cmp(&a.mul(&c), &b.mul(&c));
                     assert_eq!(ab, acbc, "{o:?}: {a:?} vs {b:?}");
                 }
                 // 1 is the least monomial
                 if !a.is_one() {
-                    assert_eq!(o.cmp(a, &Monomial::ONE, 3), Ordering::Greater);
+                    assert_eq!(o.cmp(a, &Monomial::ONE), Ordering::Greater);
                 }
             }
         }
@@ -240,5 +260,93 @@ mod tests {
     fn exponent_overflow_is_caught() {
         let big = m(&[u16::MAX, 0]);
         let _ = big.mul(&m(&[1, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn exponent_overflow_in_the_last_lane_is_caught() {
+        let mut e = [0u16; MAX_VARS];
+        e[MAX_VARS - 1] = u16::MAX;
+        let _ = Monomial { e }.mul(&Monomial::var(MAX_VARS - 1));
+    }
+
+    /// Each order over the first `nvars` lanes, one lane at a time: the
+    /// definitions the packed keys must agree with.
+    fn cmp_by_lanes(o: Order, a: &Monomial, b: &Monomial, nvars: usize) -> Ordering {
+        let lex = || {
+            for i in 0..nvars {
+                match a.e[i].cmp(&b.e[i]) {
+                    Ordering::Equal => continue,
+                    other => return other,
+                }
+            }
+            Ordering::Equal
+        };
+        let revlex = || {
+            for i in (0..nvars).rev() {
+                match b.e[i].cmp(&a.e[i]) {
+                    Ordering::Equal => continue,
+                    other => return other,
+                }
+            }
+            Ordering::Equal
+        };
+        match o {
+            Order::Lex => lex(),
+            Order::GrLex => a.degree().cmp(&b.degree()).then_with(lex),
+            Order::GRevLex => a.degree().cmp(&b.degree()).then_with(revlex),
+        }
+    }
+
+    /// A monomial over `nvars` variables (zero tail) with exponents
+    /// below `max`.
+    fn arb_mono(nvars: usize, max: u16) -> impl Strategy<Value = Monomial> {
+        collection::vec(0..max, nvars).prop_map(|e| Monomial::from_exps(&e))
+    }
+
+    /// Two monomials over one arity. Half the cases use exponents below
+    /// 3, so equal lanes and equal degrees (the tie-breaks) are common;
+    /// the other half use all 16 bits of a lane.
+    fn arb_pair() -> impl Strategy<Value = (usize, Monomial, Monomial)> {
+        (
+            1usize..MAX_VARS + 1,
+            prop_oneof![Just(3u16), Just(u16::MAX)],
+        )
+            .prop_flat_map(|(n, max)| (Just(n), arb_mono(n, max), arb_mono(n, max)))
+    }
+
+    /// Halve every exponent, so any two such monomials multiply without
+    /// overflow.
+    fn halve(m: Monomial) -> Monomial {
+        Monomial {
+            e: m.e.map(|x| x / 2),
+        }
+    }
+
+    props! {
+        #![config(Config::with_cases(256))]
+
+        #[test]
+        fn keys_order_like_the_lane_loops(case in arb_pair()) {
+            let (nvars, a, b) = case;
+            for o in [Order::Lex, Order::GrLex, Order::GRevLex] {
+                prop_assert_eq!(o.cmp(&a, &b), cmp_by_lanes(o, &a, &b, nvars));
+            }
+            prop_assert_eq!(a.lex_key().cmp(&b.lex_key()), cmp_by_lanes(Order::Lex, &a, &b, nvars));
+            prop_assert_eq!(a.lex_key() == b.lex_key(), a == b);
+        }
+
+        #[test]
+        fn mul_and_divides_match_componentwise(case in arb_pair()) {
+            let (a, b) = (halve(case.1), halve(case.2));
+            let p = a.mul(&b);
+            for i in 0..MAX_VARS {
+                prop_assert_eq!(p.e[i], a.e[i] + b.e[i]);
+            }
+            let divides = (0..MAX_VARS).all(|i| a.e[i] <= b.e[i]);
+            prop_assert_eq!(a.divides(&b), divides);
+            prop_assert!(a.divides(&p) && b.divides(&p));
+            prop_assert_eq!(a.div(&p), Some(b));
+        }
     }
 }

@@ -54,7 +54,7 @@ impl Ring {
 
     /// Compare monomials in this ring's order.
     pub fn cmp(&self, a: &Monomial, b: &Monomial) -> Ordering {
-        self.order.cmp(a, b, self.nvars)
+        self.order.cmp(a, b)
     }
 }
 
@@ -107,6 +107,12 @@ impl<C: Field> GenPoly<C> {
             }
         }
         GenPoly { terms: out }
+    }
+
+    /// Wrap terms that are already strictly descending under the ring's
+    /// order with no zero coefficients (no re-sort, no merge).
+    pub(crate) fn from_sorted(terms: Vec<GenTerm<C>>) -> Self {
+        GenPoly { terms }
     }
 
     /// Convenience constructor from `(coefficient, exponents)` pairs.

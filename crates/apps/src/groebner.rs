@@ -175,13 +175,21 @@ impl GrobNode {
         }
     }
 
-    /// The contiguous known prefix of the basis, for reductions.
-    fn known_basis(&self) -> Vec<Poly> {
-        self.cache[..self.contiguous as usize]
-            .iter()
-            .map(|p| p.clone().expect("contiguous prefix"))
-            .collect()
+    /// The contiguous known prefix of the basis, for reductions,
+    /// borrowed from the cache.
+    fn known_basis(&self) -> Vec<&Poly> {
+        known_prefix(&self.cache, self.contiguous)
     }
+}
+
+/// The first `contiguous` cached polynomials, which are all present.
+/// A free function so callers holding `&mut GrobNode` can borrow the
+/// cache alone while they update other fields.
+fn known_prefix(cache: &[Option<Poly>], contiguous: u32) -> Vec<&Poly> {
+    cache[..contiguous as usize]
+        .iter()
+        .map(|p| p.as_ref().expect("contiguous prefix"))
+        .collect()
 }
 
 /// Wake the worker frame on this node if it is parked.
@@ -490,13 +498,13 @@ impl ThreadedFn for AddPoly {
             // results collapse to zero here instead of cycling through
             // the lock.
             let mut prune_work = Work::default();
-            let newcomer = st.cache[self.id as usize].clone().unwrap();
-            let basis = st.known_basis();
+            let newcomer = st.cache[self.id as usize].as_ref().unwrap();
+            let basis = known_prefix(&st.cache, st.contiguous);
             let mut still_pending = VecDeque::new();
             while let Some(pending) = st.pending_inserts.pop_front() {
                 if earth_algebra::spoly::head_reducible(
                     &pending,
-                    std::slice::from_ref(&newcomer),
+                    std::slice::from_ref(newcomer),
                     &mut prune_work,
                 ) {
                     let nf = normal_form(&st.ring, &pending, &basis, &mut prune_work);
@@ -1397,7 +1405,12 @@ fn run_groebner_inner(
     let pairs_reduced = (0..workers)
         .map(|w| rt.state::<GrobNode>(NodeId(w)).reductions)
         .sum();
-    let basis = rt.state::<GrobNode>(NodeId(0)).known_basis();
+    let basis = rt
+        .state::<GrobNode>(NodeId(0))
+        .known_basis()
+        .into_iter()
+        .cloned()
+        .collect();
     let diag = want_diag.then(|| {
         let mut parts = Vec::new();
         for w in 0..workers {
