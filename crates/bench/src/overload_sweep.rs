@@ -134,10 +134,6 @@ fn defended_plan(jobs: u32, load: f64) -> TrafficPlan {
         .with_breaker(BREAKER_WINDOW, BREAKER_OPEN_AFTER, BREAKER_PROBE_US)
 }
 
-fn lossy_plan() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
-}
-
 fn cell(variant: &'static str, offered: f64, run: TrafficRun) -> OverloadCell {
     let t = run.traffic();
     let sojourn_ns: Vec<f64> = t.sojourns_us(None).iter().map(|us| us * 1_000.0).collect();
@@ -175,7 +171,7 @@ fn overload_at(jobs: u32, nodes: u16, loads: &[f64]) -> OverloadTable {
     cells.push(cell(
         "defended_lossy",
         hi_load,
-        run_traffic_faulted(&hi, nodes, RT_SEED, &lossy_plan()),
+        run_traffic_faulted(&hi, nodes, RT_SEED, &FaultPlan::lossy()),
     ));
     cells.push(cell(
         "defended_crashed",

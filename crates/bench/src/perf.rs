@@ -31,6 +31,7 @@ use earth_apps::neural::{
     run_neural, run_neural_crashed, run_neural_faulted, run_neural_profiled, CommsShape, PassMode,
 };
 use earth_linalg::SymTridiagonal;
+use earth_machine::FaultPlan;
 use earth_rt::RunReport;
 use earth_sim::{VirtualDuration, VirtualTime};
 use std::fmt::Write as _;
@@ -57,13 +58,6 @@ pub struct SweepResult {
 /// Repetitions per sweep at full size; the best (minimum) wall time is
 /// kept, the usual convention for wall-clock baselines.
 const FULL_REPS: usize = 3;
-
-/// The acceptance fault plan used across the repo: 1% drop, 0.5% dup.
-fn lossy_plan() -> earth_machine::FaultPlan {
-    earth_machine::FaultPlan::new()
-        .with_drop(0.01)
-        .with_duplicate(0.005)
-}
 
 fn measure(
     name: &'static str,
@@ -110,7 +104,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         run_eigen(&m, tol, en, 42, FetchMode::Block).report
     }));
     out.push(measure("eigen_faulted", en, reps, || {
-        run_eigen_faulted(&m, tol, en, 42, FetchMode::Block, &lossy_plan()).report
+        run_eigen_faulted(&m, tol, en, 42, FetchMode::Block, &FaultPlan::lossy()).report
     }));
     let clean = run_eigen(&m, tol, en, 42, FetchMode::Block);
     let down = VirtualTime::ZERO + clean.report.elapsed / 2;
@@ -138,7 +132,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
             gn,
             1,
             SelectionStrategy::Sugar,
-            &lossy_plan(),
+            &FaultPlan::lossy(),
         )
         .report
     }));
@@ -170,7 +164,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         run_neural(units, nn, samples, 21, mode, shape).report
     }));
     out.push(measure("neural_faulted", nn, reps, || {
-        run_neural_faulted(units, nn, samples, 21, mode, shape, &lossy_plan()).report
+        run_neural_faulted(units, nn, samples, 21, mode, shape, &FaultPlan::lossy()).report
     }));
     let nclean = run_neural(units, nn, samples, 21, mode, shape);
     let ndown = VirtualTime::ZERO + nclean.report.elapsed / 2;
@@ -228,7 +222,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     // first-transmission ack, hedge scheduling on every fresh send, and
     // the quarantine checks on the steal and home-routing paths are the
     // new hot-path work, so a regression there lands on this number.
-    let straggled = earth_machine::FaultPlan::new()
+    let straggled = FaultPlan::new()
         .with_node_slowdown(
             tn / 2,
             VirtualTime::from_ns(50_000),

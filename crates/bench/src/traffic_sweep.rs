@@ -86,10 +86,6 @@ fn plan(jobs: u32, load: f64) -> TrafficPlan {
         .with_offered_load(load)
 }
 
-fn lossy_plan() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
-}
-
 fn cell(variant: &'static str, offered: f64, nodes: u16, run: TrafficRun) -> TrafficCell {
     let classes = run.summaries();
     let t = run.traffic();
@@ -121,7 +117,7 @@ fn traffic_at(jobs: u32, loads: &[f64], nodes: &[u16]) -> TrafficTable {
         "lossy",
         hi_load,
         hi_n,
-        run_traffic_faulted(&hi, hi_n, RT_SEED, &lossy_plan()),
+        run_traffic_faulted(&hi, hi_n, RT_SEED, &FaultPlan::lossy()),
     ));
     cells.push(cell(
         "crashed",

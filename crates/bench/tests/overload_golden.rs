@@ -57,7 +57,7 @@ fn defended_runs_are_byte_identical_across_queue_kinds() {
     );
     let ladder = run_traffic_on(
         &plan,
-        MachineConfig::manna(8).with_queue(QueueKind::Ladder),
+        MachineConfig::manna(8).with_queue(QueueKind::Radix),
         42,
     );
     assert_eq!(

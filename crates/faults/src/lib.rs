@@ -314,6 +314,12 @@ impl FaultPlan {
         }
     }
 
+    /// The acceptance lossy network used across the workspace's tests
+    /// and sweeps: 1% drop and 0.5% duplication on every link.
+    pub fn lossy() -> Self {
+        FaultPlan::none().with_drop(0.01).with_duplicate(0.005)
+    }
+
     /// Alias for [`FaultPlan::none`] reading better as a builder seed.
     pub fn new() -> Self {
         FaultPlan::none()
@@ -970,6 +976,15 @@ mod tests {
         assert!(!FaultPlan::new()
             .with_latency_spike(t(0), t(10), 4.0)
             .is_trivial());
+    }
+
+    #[test]
+    fn lossy_drops_one_percent_and_duplicates_half_a_percent() {
+        let p = FaultPlan::lossy();
+        assert_eq!(p.default_probs.drop, 0.01);
+        assert_eq!(p.default_probs.duplicate, 0.005);
+        assert_eq!(p.default_probs.reorder, 0.0);
+        assert!(!p.is_trivial());
     }
 
     #[test]

@@ -171,9 +171,9 @@ pub struct MachineConfig {
     /// network takes the exact fault-free code path.
     pub faults: Option<FaultPlan>,
     /// Which event-queue implementation the runtime schedules on. The
-    /// ladder queue (default) is pop-for-pop identical to the reference
-    /// heap — the differential suite proves it — so this knob changes
-    /// wall-clock speed only, never results.
+    /// monotone radix queue (default) is pop-for-pop identical to the
+    /// reference heap — the differential suite proves it — so this knob
+    /// changes wall-clock speed only, never results.
     pub queue: QueueKind,
     /// Which interconnect connects the nodes. The default hierarchical
     /// crossbar is provably free: it reproduces the pre-trait hardcoded
@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(m.cluster_size, 16);
         assert_eq!(m.link_bytes_per_sec, 50_000_000);
         assert!(matches!(m.comm, CommCostModel::Earth));
-        assert_eq!(m.queue, QueueKind::Ladder, "ladder is the default queue");
+        assert_eq!(m.queue, QueueKind::Radix, "radix is the default queue");
         let m = m.with_queue(QueueKind::Heap);
         assert_eq!(m.queue, QueueKind::Heap);
     }

@@ -10,8 +10,9 @@
 //!   with saturating/checked arithmetic and human-readable formatting;
 //! * [`EventQueue`] — a priority queue of timestamped events with a total,
 //!   reproducible ordering (ties broken by insertion sequence number), plus
-//!   [`LadderQueue`], a pop-for-pop identical ladder queue with O(1)
-//!   near-horizon push/pop, selected per simulation via [`QueueKind`];
+//!   [`RadixQueue`], a pop-for-pop identical monotone radix queue with
+//!   amortized O(1) push/pop over compact keys and slab-held events,
+//!   selected per simulation via [`QueueKind`];
 //! * [`Rng`] — a small, self-contained xoshiro256** PRNG seeded via
 //!   SplitMix64, so simulations are bit-identical for a given seed
 //!   regardless of dependency versions or platform.
@@ -19,16 +20,16 @@
 //! [`stats`] adds the summary helpers (mean / min / max / stddev, speedup
 //! series) used by the benchmark harness to reproduce the paper's figures.
 
-pub mod ladder;
 pub mod order;
 pub mod queue;
+pub mod radix;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use ladder::{LadderQueue, QueueKind, SimQueue};
 pub use order::MinEntry;
 pub use queue::EventQueue;
+pub use radix::{QueueKind, RadixQueue, SimQueue};
 pub use rng::{bounded_pareto, stream_word, unit_f64, word_bounded, Rng};
 pub use stats::{nearest_rank, Breakdown, Summary};
 pub use time::{VirtualDuration, VirtualTime};

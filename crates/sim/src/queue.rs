@@ -8,7 +8,7 @@
 //! function of (program, seed).
 //!
 //! This is the *reference* queue: the property-tested baseline that the
-//! ladder queue in [`crate::ladder`] is differentially checked against.
+//! radix queue in [`crate::radix`] is differentially checked against.
 
 use crate::order::MinEntry;
 use crate::time::VirtualTime;

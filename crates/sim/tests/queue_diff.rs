@@ -1,10 +1,11 @@
-//! Differential property suite: `LadderQueue` must pop in *exactly* the
+//! Differential property suite: `RadixQueue` must pop in *exactly* the
 //! order of the reference `EventQueue` on generated `(time, seq)`
 //! workloads — heavy ties, same-instant bursts, interleaved push/pop,
-//! past-time pushes, and far-future sentinels. The ladder is only
-//! allowed to be fast, never different.
+//! past-time pushes, far-future sentinels, and keys on every radix
+//! bucket boundary. The radix queue is only allowed to be fast, never
+//! different.
 
-use earth_sim::{EventQueue, LadderQueue, QueueKind, Rng, SimQueue, VirtualTime};
+use earth_sim::{EventQueue, QueueKind, RadixQueue, Rng, SimQueue, VirtualTime};
 
 fn t(ns: u64) -> VirtualTime {
     VirtualTime::from_ns(ns)
@@ -21,18 +22,18 @@ enum Op {
 /// and observable-state equality at every step.
 fn check_equivalent(label: &str, ops: &[Op]) {
     let mut reference = EventQueue::new();
-    let mut ladder = LadderQueue::new();
+    let mut radix = RadixQueue::new();
     let mut payload = 0u64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Push(ns) => {
                 reference.push(t(ns), payload);
-                ladder.push(t(ns), payload);
+                radix.push(t(ns), payload);
                 payload += 1;
             }
             Op::Pop => {
                 let want = reference.pop();
-                let got = ladder.pop();
+                let got = radix.pop();
                 assert_eq!(
                     got,
                     want,
@@ -41,9 +42,9 @@ fn check_equivalent(label: &str, ops: &[Op]) {
                 );
             }
         }
-        assert_eq!(ladder.len(), reference.len(), "{label}: len at step {step}");
+        assert_eq!(radix.len(), reference.len(), "{label}: len at step {step}");
         assert_eq!(
-            ladder.peek_time(),
+            radix.peek_time(),
             reference.peek_time(),
             "{label}: peek at step {step}"
         );
@@ -51,14 +52,44 @@ fn check_equivalent(label: &str, ops: &[Op]) {
     // Drain whatever is left; the tails must match too.
     loop {
         let want = reference.pop();
-        let got = ladder.pop();
+        let got = radix.pop();
         assert_eq!(got, want, "{label}: divergent pop in final drain");
         if want.is_none() {
             break;
         }
     }
-    assert_eq!(ladder.total_scheduled(), reference.total_scheduled());
-    assert_eq!(ladder.peak_len(), reference.peak_len(), "{label}: peak");
+    assert_eq!(radix.total_scheduled(), reference.total_scheduled());
+    assert_eq!(radix.peak_len(), reference.peak_len(), "{label}: peak");
+}
+
+/// Builds an op sequence while mirroring it on a reference queue, so a
+/// generator can aim pushes relative to the last popped time.
+struct Script {
+    ops: Vec<Op>,
+    model: EventQueue<()>,
+    now: u64,
+}
+
+impl Script {
+    fn new() -> Self {
+        Script {
+            ops: Vec::new(),
+            model: EventQueue::new(),
+            now: 0,
+        }
+    }
+
+    fn push(&mut self, ns: u64) {
+        self.ops.push(Op::Push(ns));
+        self.model.push(t(ns), ());
+    }
+
+    fn pop(&mut self) {
+        self.ops.push(Op::Pop);
+        if let Some((time, ())) = self.model.pop() {
+            self.now = time.as_ns();
+        }
+    }
 }
 
 #[test]
@@ -80,7 +111,7 @@ fn heavy_ties_pop_identically() {
 #[test]
 fn same_instant_bursts_after_partial_drain() {
     // Drain into an instant, then burst more events at that instant —
-    // the ladder must weave them into its active slice by seq.
+    // they must pop after the instant's older events, in seq order.
     let mut ops = Vec::new();
     for i in 0..50 {
         ops.push(Op::Push(10 * i));
@@ -133,8 +164,8 @@ fn interleaved_push_pop_random_walk() {
 
 #[test]
 fn multi_respan_wide_spread() {
-    // Far more events than one re-span window, spread over a huge time
-    // range, popped in large batches to force repeated re-spans.
+    // Thousands of events spread over a huge time range, popped in
+    // large batches so every pop round refills across many buckets.
     let mut rng = Rng::new(42);
     let mut ops = Vec::new();
     for round in 0..6 {
@@ -188,10 +219,9 @@ fn idle_forever_sentinels_mix_with_real_events() {
 
 #[test]
 fn full_axis_window_with_max_sentinel() {
-    // Regression: a near-zero event and a MAX sentinel in the same
-    // re-span make bucket_w = 2^58, and activating the last bucket
-    // used to overflow computing `64 * bucket_w`. Deterministic ops —
-    // no RNG — so the overflow window is always constructed.
+    // A near-zero event and a MAX sentinel pending together span the
+    // whole time axis, so the sentinel sits in the top bucket.
+    // Deterministic ops — no RNG — so the span is always built.
     let ops = [
         Op::Push(0),
         Op::Push(u64::MAX),
@@ -213,25 +243,89 @@ fn simqueue_kinds_agree_on_random_workload() {
     // The dispatch wrapper itself, driven under both kinds.
     let mut rng = Rng::new(0xD1FF);
     let mut heap = SimQueue::new(QueueKind::Heap);
-    let mut ladder = SimQueue::new(QueueKind::Ladder);
+    let mut radix = SimQueue::new(QueueKind::Radix);
     let mut payload = 0u32;
     for _ in 0..10_000 {
         if rng.gen_range(3) < 2 {
             let time = t(rng.gen_range(1 << 30));
             heap.push(time, payload);
-            ladder.push(time, payload);
+            radix.push(time, payload);
             payload += 1;
         } else {
-            assert_eq!(heap.pop(), ladder.pop());
+            assert_eq!(heap.pop(), radix.pop());
         }
-        assert_eq!(heap.len(), ladder.len());
+        assert_eq!(heap.len(), radix.len());
     }
     loop {
         let a = heap.pop();
-        assert_eq!(a, ladder.pop());
+        assert_eq!(a, radix.pop());
         if a.is_none() {
             break;
         }
     }
-    assert_eq!(heap.peak_len(), ladder.peak_len());
+    assert_eq!(heap.peak_len(), radix.peak_len());
+}
+
+#[test]
+fn poke_bursts_on_a_monotone_clock() {
+    // The serving path's shape: the idle-node poll pushes runs of 10–60
+    // equal-time wakes 2–8 µs ahead of a clock that never runs
+    // backwards, interleaved with pops and self-wakes at `now`.
+    let mut rng = Rng::new(0x90CE);
+    let mut s = Script::new();
+    for _ in 0..400 {
+        let at = s.now + 2_000 + rng.gen_range(6_001);
+        for _ in 0..10 + rng.gen_range(51) {
+            s.push(at);
+            match rng.gen_range(6) {
+                0 => s.pop(),
+                1 => s.push(s.now),
+                _ => {}
+            }
+        }
+        for _ in 0..rng.gen_range(80) {
+            s.pop();
+        }
+    }
+    assert!(
+        s.ops.len() > 10_000,
+        "workload too small to exercise refills"
+    );
+    check_equivalent("poke_bursts", &s.ops);
+}
+
+#[test]
+fn keys_straddle_every_radix_bucket_boundary() {
+    // A key's bucket is the bit length of `t ^ last`; XOR-ing `last`
+    // with 2^k − 1, 2^k and 2^k + 1 for every k (plus all ones) lands
+    // keys on both sides of each bucket boundary. Every key is pushed
+    // twice so equal-time pairs must keep seq order through refills.
+    // Later rounds pivot on a moved `last`; keys below it take the
+    // rebase path.
+    let offsets: Vec<u64> = (0..64)
+        .flat_map(|k| {
+            let p = 1u64 << k;
+            [p - 1, p, p + 1]
+        })
+        .chain([u64::MAX])
+        .collect();
+    let mut rng = Rng::new(0xB0DA);
+    let mut s = Script::new();
+    for _ in 0..4 {
+        let last = s.now;
+        let mut keys: Vec<u64> = offsets.iter().flat_map(|&o| [last ^ o; 2]).collect();
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.gen_range(i as u64 + 1) as usize);
+        }
+        for ns in keys {
+            s.push(ns);
+            if rng.gen_range(4) == 0 {
+                s.pop();
+            }
+        }
+        for _ in 0..offsets.len() {
+            s.pop();
+        }
+    }
+    check_equivalent("bucket_boundaries", &s.ops);
 }

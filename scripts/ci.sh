@@ -36,40 +36,30 @@ cargo run --release --offline -p earth-bench --bin repro -- \
 echo "== benchmark tests (every workload through its oracle at smoke size, BENCHMARK.json drift check) =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== event-queue equivalence (ladder vs reference heap) =="
+echo "== event-queue equivalence (radix queue vs reference heap) =="
 cargo test -q --offline -p earth-sim --test queue_diff
 cargo test -q --offline --test ladder_apps
 
-echo "== topology scale smoke (256 nodes, every app x interconnect, byte-identical reruns) =="
-cargo run --release --offline -p earth-bench --bin repro -- scale --smoke --json > /tmp/scale_smoke_a.json
-cargo run --release --offline -p earth-bench --bin repro -- scale --smoke --json > /tmp/scale_smoke_b.json
-cmp /tmp/scale_smoke_a.json /tmp/scale_smoke_b.json
-grep -q '"experiment":"scale"' /tmp/scale_smoke_a.json
-grep -q '"topologies":\["crossbar","hypercube","torus3d","fattree"\]' /tmp/scale_smoke_a.json
-
-echo "== traffic smoke (open-loop streams through admission, byte-identical reruns) =="
-cargo run --release --offline -p earth-bench --bin repro -- traffic --smoke --json > /tmp/traffic_smoke_a.json
-cargo run --release --offline -p earth-bench --bin repro -- traffic --smoke --json > /tmp/traffic_smoke_b.json
-cmp /tmp/traffic_smoke_a.json /tmp/traffic_smoke_b.json
-grep -q '"experiment":"traffic"' /tmp/traffic_smoke_a.json
-grep -q '"variant":"crashed"' /tmp/traffic_smoke_a.json
-
-echo "== overload smoke (goodput under saturation, defenses off vs on, byte-identical reruns) =="
-cargo run --release --offline -p earth-bench --bin repro -- overload --smoke --json > /tmp/overload_smoke_a.json
-cargo run --release --offline -p earth-bench --bin repro -- overload --smoke --json > /tmp/overload_smoke_b.json
-cmp /tmp/overload_smoke_a.json /tmp/overload_smoke_b.json
-grep -q '"experiment":"overload"' /tmp/overload_smoke_a.json
-grep -q '"variant":"naive"' /tmp/overload_smoke_a.json
-grep -q '"variant":"defended_crashed"' /tmp/overload_smoke_a.json
-
-echo "== straggler smoke (gray failure, naive vs defended, byte-identical reruns) =="
-cargo run --release --offline -p earth-bench --bin repro -- stragglers --smoke --json > /tmp/stragglers_smoke_a.json
-cargo run --release --offline -p earth-bench --bin repro -- stragglers --smoke --json > /tmp/stragglers_smoke_b.json
-cmp /tmp/stragglers_smoke_a.json /tmp/stragglers_smoke_b.json
-grep -q '"experiment":"stragglers"' /tmp/stragglers_smoke_a.json
-grep -q '"variant":"naive"' /tmp/stragglers_smoke_a.json
-grep -q '"variant":"defended_lossy"' /tmp/stragglers_smoke_a.json
-grep -q '"variant":"defended_crashed"' /tmp/stragglers_smoke_a.json
+# Smoke sweeps, each run twice: the reruns must be byte-identical and
+# carry every listed schema landmark. Fields: experiment|title|grep
+# patterns...
+for stage in \
+    'scale|topology scale smoke (256 nodes, every app x interconnect)|"experiment":"scale"|"topologies":\["crossbar","hypercube","torus3d","fattree"\]' \
+    'traffic|traffic smoke (open-loop streams through admission)|"experiment":"traffic"|"variant":"crashed"' \
+    'overload|overload smoke (goodput under saturation, defenses off vs on)|"experiment":"overload"|"variant":"naive"|"variant":"defended_crashed"' \
+    'stragglers|straggler smoke (gray failure, naive vs defended)|"experiment":"stragglers"|"variant":"naive"|"variant":"defended_lossy"|"variant":"defended_crashed"'
+do
+    IFS='|' read -r -a field <<< "$stage"
+    name="${field[0]}"
+    echo "== ${field[1]}, byte-identical reruns =="
+    for run in a b; do
+        cargo run --release --offline -p earth-bench --bin repro -- "$name" --smoke --json > "/tmp/${name}_smoke_$run.json"
+    done
+    cmp "/tmp/${name}_smoke_a.json" "/tmp/${name}_smoke_b.json"
+    for pattern in "${field[@]:2}"; do
+        grep -q "$pattern" "/tmp/${name}_smoke_a.json"
+    done
+done
 
 echo "== topology scale full (1024 nodes; terminates inside the smoke budget) =="
 cargo run --release --offline -p earth-bench --bin repro -- scale --json > /tmp/scale_full.json

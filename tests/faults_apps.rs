@@ -14,16 +14,11 @@ use earth_manna::apps::neural::{
 use earth_manna::linalg::SymTridiagonal;
 use earth_manna::machine::FaultPlan;
 
-/// The ISSUE acceptance plan: 1% drop, 0.5% duplication.
-fn lossy() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
-}
-
 #[test]
 fn eigen_bit_identical_under_lossy_network() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let clean = run_eigen(&m, 1e-6, 20, 42, FetchMode::Block);
-    let faulted = run_eigen_faulted(&m, 1e-6, 20, 42, FetchMode::Block, &lossy());
+    let faulted = run_eigen_faulted(&m, 1e-6, 20, 42, FetchMode::Block, &FaultPlan::lossy());
     assert!(
         faulted.report.net_dropped > 0,
         "plan never fired; acceptance run is vacuous"
@@ -39,7 +34,14 @@ fn eigen_bit_identical_under_lossy_network() {
 fn groebner_same_reduced_basis_under_lossy_network() {
     let (ring, input) = katsura(3);
     let clean = run_groebner(&ring, &input, 20, 1, SelectionStrategy::Sugar, None);
-    let faulted = run_groebner_faulted(&ring, &input, 20, 1, SelectionStrategy::Sugar, &lossy());
+    let faulted = run_groebner_faulted(
+        &ring,
+        &input,
+        20,
+        1,
+        SelectionStrategy::Sugar,
+        &FaultPlan::lossy(),
+    );
     assert!(faulted.report.net_dropped > 0);
     assert_eq!(
         reduce_basis(&ring, &clean.basis),
@@ -58,7 +60,7 @@ fn neural_outputs_bit_identical_under_lossy_network() {
         21,
         PassMode::ForwardBackward,
         CommsShape::Tree,
-        &lossy(),
+        &FaultPlan::lossy(),
     );
     assert!(faulted.report.net_dropped > 0);
     assert_eq!(clean.outputs, faulted.outputs);
@@ -67,8 +69,8 @@ fn neural_outputs_bit_identical_under_lossy_network() {
 #[test]
 fn faulted_runs_are_seed_deterministic() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
-    let a = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &lossy());
-    let b = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &lossy());
+    let a = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &FaultPlan::lossy());
+    let b = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &FaultPlan::lossy());
     assert_eq!(a.eigenvalues, b.eigenvalues);
     assert_eq!(
         format!("{:?}", a.report),
@@ -95,7 +97,7 @@ fn none_plan_is_byte_identical_to_no_fault_plane() {
 fn faults_show_up_in_report_display_only_when_firing() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
     let clean = run_eigen(&m, 1e-6, 8, 5, FetchMode::Block);
-    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &lossy());
+    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &FaultPlan::lossy());
     assert!(!format!("{}", clean.report).contains("faults:"));
     let shown = format!("{}", faulted.report);
     assert!(shown.contains("faults:"), "{shown}");
@@ -207,7 +209,7 @@ fn checkpoint_interval_only_affects_elapsed_never_results() {
 #[test]
 fn crash_free_plans_never_touch_the_crash_machinery() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
-    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &lossy());
+    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &FaultPlan::lossy());
     let r = &faulted.report;
     assert_eq!(r.total_crashes() + r.total_recoveries(), 0);
     assert_eq!(r.total_heartbeats() + r.total_checkpoints(), 0);

@@ -1,5 +1,5 @@
 //! Queue-equivalence acceptance tests: every application must produce a
-//! byte-identical `RunReport` whether the scheduler runs on the ladder
+//! byte-identical `RunReport` whether the scheduler runs on the radix
 //! queue or on the reference binary heap. The event core is the one
 //! component every feature sits on, so these run the full stack —
 //! including the fault plane and crash windows — under both
@@ -14,49 +14,45 @@ use earth_manna::apps::neural::{run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
 use earth_manna::machine::{FaultPlan, MachineConfig, QueueKind};
 use earth_manna::sim::VirtualTime;
+use earth_manna::traffic::{run_traffic_on, TrafficPlan};
 
 /// Two configurations that differ only in the event-queue implementation.
 fn cfg_pair(nodes: u16) -> (MachineConfig, MachineConfig) {
     (
         MachineConfig::manna(nodes).with_queue(QueueKind::Heap),
-        MachineConfig::manna(nodes).with_queue(QueueKind::Ladder),
+        MachineConfig::manna(nodes).with_queue(QueueKind::Radix),
     )
-}
-
-/// A seeded lossy plan that reliably fires at these workload sizes.
-fn lossy() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
 }
 
 #[test]
 fn eigen_reports_identical_across_queue_kinds() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
-    let (heap_cfg, ladder_cfg) = cfg_pair(20);
+    let (heap_cfg, radix_cfg) = cfg_pair(20);
     let heap = run_eigen_on(&m, 1e-6, heap_cfg, 42, FetchMode::Block);
-    let ladder = run_eigen_on(&m, 1e-6, ladder_cfg, 42, FetchMode::Block);
-    assert_eq!(heap.eigenvalues, ladder.eigenvalues);
+    let radix = run_eigen_on(&m, 1e-6, radix_cfg, 42, FetchMode::Block);
+    assert_eq!(heap.eigenvalues, radix.eigenvalues);
     assert_eq!(
         format!("{:?}", heap.report),
-        format!("{:?}", ladder.report),
-        "ladder queue must replay the heap schedule byte-for-byte"
+        format!("{:?}", radix.report),
+        "radix queue must replay the heap schedule byte-for-byte"
     );
 }
 
 #[test]
 fn eigen_reports_identical_across_queue_kinds_under_faults() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
-    let (heap_cfg, ladder_cfg) = cfg_pair(20);
+    let (heap_cfg, radix_cfg) = cfg_pair(20);
     let heap = run_eigen_on(
         &m,
         1e-6,
-        heap_cfg.with_faults(lossy()),
+        heap_cfg.with_faults(FaultPlan::lossy()),
         42,
         FetchMode::Individual,
     );
-    let ladder = run_eigen_on(
+    let radix = run_eigen_on(
         &m,
         1e-6,
-        ladder_cfg.with_faults(lossy()),
+        radix_cfg.with_faults(FaultPlan::lossy()),
         42,
         FetchMode::Individual,
     );
@@ -64,7 +60,7 @@ fn eigen_reports_identical_across_queue_kinds_under_faults() {
         heap.report.net_dropped > 0,
         "plan never fired; equivalence run is vacuous"
     );
-    assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
+    assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
 }
 
 #[test]
@@ -73,7 +69,7 @@ fn eigen_reports_identical_across_queue_kinds_with_crash() {
     // Failover crash: heartbeats, detection, recovery replay — the
     // densest event traffic the runtime generates.
     let plan = FaultPlan::new().with_node_crash(3, VirtualTime::from_ns(400_000_000));
-    let (heap_cfg, ladder_cfg) = cfg_pair(20);
+    let (heap_cfg, radix_cfg) = cfg_pair(20);
     let heap = run_eigen_on(
         &m,
         1e-6,
@@ -81,15 +77,15 @@ fn eigen_reports_identical_across_queue_kinds_with_crash() {
         42,
         FetchMode::Block,
     );
-    let ladder = run_eigen_on(&m, 1e-6, ladder_cfg.with_faults(plan), 42, FetchMode::Block);
+    let radix = run_eigen_on(&m, 1e-6, radix_cfg.with_faults(plan), 42, FetchMode::Block);
     assert_eq!(heap.report.total_crashes(), 1, "the crash never fired");
-    assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
+    assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
 }
 
 #[test]
 fn groebner_reports_identical_across_queue_kinds() {
     let (ring, input) = katsura(3);
-    for plan in [None, Some(lossy())] {
+    for plan in [None, Some(FaultPlan::lossy())] {
         let heap = run_groebner_queued(
             &ring,
             &input,
@@ -99,19 +95,19 @@ fn groebner_reports_identical_across_queue_kinds() {
             plan.as_ref(),
             QueueKind::Heap,
         );
-        let ladder = run_groebner_queued(
+        let radix = run_groebner_queued(
             &ring,
             &input,
             20,
             1,
             SelectionStrategy::Sugar,
             plan.as_ref(),
-            QueueKind::Ladder,
+            QueueKind::Radix,
         );
-        assert_eq!(heap.basis, ladder.basis);
+        assert_eq!(heap.basis, radix.basis);
         assert_eq!(
             format!("{:?}", heap.report),
-            format!("{:?}", ladder.report),
+            format!("{:?}", radix.report),
             "plan {:?} diverged across queue kinds",
             plan.is_some()
         );
@@ -121,9 +117,9 @@ fn groebner_reports_identical_across_queue_kinds() {
 #[test]
 fn neural_reports_identical_across_queue_kinds() {
     for shape in [CommsShape::Sequential, CommsShape::Tree] {
-        let (heap_cfg, ladder_cfg) = cfg_pair(20);
+        let (heap_cfg, radix_cfg) = cfg_pair(20);
         let heap = run_neural_on(
-            heap_cfg.with_faults(lossy()),
+            heap_cfg.with_faults(FaultPlan::lossy()),
             24,
             24,
             24,
@@ -132,8 +128,8 @@ fn neural_reports_identical_across_queue_kinds() {
             PassMode::ForwardBackward,
             shape,
         );
-        let ladder = run_neural_on(
-            ladder_cfg.with_faults(lossy()),
+        let radix = run_neural_on(
+            radix_cfg.with_faults(FaultPlan::lossy()),
             24,
             24,
             24,
@@ -142,24 +138,66 @@ fn neural_reports_identical_across_queue_kinds() {
             PassMode::ForwardBackward,
             shape,
         );
-        assert_eq!(heap.outputs, ladder.outputs);
-        assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
+        assert_eq!(heap.outputs, radix.outputs);
+        assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
+    }
+}
+
+#[test]
+fn serving_reports_identical_across_queue_kinds_at_128_nodes() {
+    // At 128 nodes each idle poll wakes dozens of nodes at one instant:
+    // the same-time bursts the radix queue pops FIFO from bucket 0.
+    let plan = TrafficPlan::new(1997)
+        .with_jobs(400)
+        .with_offered_load(50_000.0);
+    let chaos = FaultPlan::lossy().with_crash_restart(
+        3,
+        VirtualTime::from_ns(2_000_000),
+        VirtualTime::from_ns(5_000_000),
+    );
+    for faults in [None, Some(chaos)] {
+        let run = |queue| {
+            let cfg = MachineConfig::manna(128).with_queue(queue);
+            let cfg = match &faults {
+                Some(plan) => cfg.with_faults(plan.clone()),
+                None => cfg,
+            };
+            run_traffic_on(&plan, cfg, 42)
+        };
+        let heap = run(QueueKind::Heap);
+        let radix = run(QueueKind::Radix);
+        if faults.is_some() {
+            assert!(heap.report.net_dropped > 0, "loss never fired");
+            assert_eq!(heap.report.total_crashes(), 1, "the crash never fired");
+        }
+        assert!(heap.report.traffic_drained(), "stream did not drain");
+        assert_eq!(
+            format!("{:?}", heap.report),
+            format!("{:?}", radix.report),
+            "faults {:?}: serving run diverged across queue kinds",
+            faults.is_some()
+        );
     }
 }
 
 /// Manual throughput probe (not a correctness test): prints wall time
-/// per queue kind so the ladder's contribution can be isolated from the
-/// pooling work inside one binary. Run with
+/// per queue kind so the radix queue's contribution can be isolated
+/// from the rest of the runtime inside one binary. Run with
 /// `cargo test --release --test ladder_apps -- --ignored --nocapture`.
 #[test]
 #[ignore]
 fn queue_throughput_probe() {
     let m = SymTridiagonal::random_clustered(240, 6, 1997);
     let (ring, input) = earth_manna::algebra::inputs::katsura(4);
-    for kind in [QueueKind::Heap, QueueKind::Ladder] {
+    // The serving path at 256 nodes: ~3M events, most in poll bursts.
+    let serve = TrafficPlan::new(11)
+        .with_jobs(3000)
+        .with_offered_load(100_000.0);
+    for kind in [QueueKind::Heap, QueueKind::Radix] {
         let reps = 5;
         let mut eigen_best = f64::INFINITY;
         let mut grob_best = f64::INFINITY;
+        let mut serve_best = f64::INFINITY;
         for _ in 0..reps {
             let cfg = MachineConfig::manna(20).with_queue(kind);
             let t = std::time::Instant::now();
@@ -170,19 +208,27 @@ fn queue_throughput_probe() {
             let g = run_groebner_queued(&ring, &input, 20, 1, SelectionStrategy::Sugar, None, kind);
             grob_best = grob_best.min(t.elapsed().as_secs_f64() * 1e3);
             assert!(g.report.events > 0);
+            let cfg = MachineConfig::manna(256).with_queue(kind);
+            let t = std::time::Instant::now();
+            let s = run_traffic_on(&serve, cfg, 42);
+            serve_best = serve_best.min(t.elapsed().as_secs_f64() * 1e3);
+            assert!(s.report.traffic_drained());
         }
-        println!("{kind:?}: eigen {eigen_best:.3} ms, groebner {grob_best:.3} ms (best of {reps})");
+        println!(
+            "{kind:?}: eigen {eigen_best:.3} ms, groebner {grob_best:.3} ms, \
+             serve_256 {serve_best:.3} ms (best of {reps})"
+        );
     }
 }
 
 #[test]
 fn peak_queue_depth_is_populated_and_queue_invariant() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
-    let (heap_cfg, ladder_cfg) = cfg_pair(20);
+    let (heap_cfg, radix_cfg) = cfg_pair(20);
     let heap = run_eigen_on(&m, 1e-6, heap_cfg, 42, FetchMode::Block);
-    let ladder = run_eigen_on(&m, 1e-6, ladder_cfg, 42, FetchMode::Block);
+    let radix = run_eigen_on(&m, 1e-6, radix_cfg, 42, FetchMode::Block);
     assert!(heap.report.peak_queue_depth > 0, "depth never observed");
-    assert_eq!(heap.report.peak_queue_depth, ladder.report.peak_queue_depth);
+    assert_eq!(heap.report.peak_queue_depth, radix.report.peak_queue_depth);
     // The depth is an observation, not part of the stable textual report.
     assert!(!format!("{}", heap.report).contains("peak"));
 }

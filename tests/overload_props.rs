@@ -92,7 +92,7 @@ props! {
         );
         let ladder = run_traffic_on(
             &plan,
-            MachineConfig::manna(nodes).with_queue(QueueKind::Ladder),
+            MachineConfig::manna(nodes).with_queue(QueueKind::Radix),
             seed,
         );
         prop_assert_eq!(heap.report.traffic.as_ref(), ladder.report.traffic.as_ref());

@@ -39,7 +39,7 @@ props! {
         nodes in 2u16..9,
         seed in any::<u64>(),
     ) {
-        for kind in [QueueKind::Heap, QueueKind::Ladder] {
+        for kind in [QueueKind::Heap, QueueKind::Radix] {
             let bare = run_traffic_on(
                 &plan,
                 MachineConfig::manna(nodes).with_queue(kind),
@@ -108,7 +108,7 @@ props! {
         let ladder = run_traffic_on(
             &plan,
             MachineConfig::manna(8)
-                .with_queue(QueueKind::Ladder)
+                .with_queue(QueueKind::Radix)
                 .with_faults(faults),
             seed,
         );
