@@ -17,9 +17,9 @@
 use earth_linalg::bisect::{root_interval, step, Interval, Step};
 use earth_linalg::cost::{emit_cost, sturm_cost};
 use earth_linalg::SymTridiagonal;
-use earth_machine::{MachineConfig, NodeId};
+use earth_machine::NodeId;
 use earth_rt::{
-    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, Runtime, SlotId, SlotRef, ThreadId, ThreadedFn,
+    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, RunOpts, SlotId, SlotRef, ThreadId, ThreadedFn,
 };
 use earth_sim::{VirtualDuration, VirtualTime};
 
@@ -263,11 +263,12 @@ pub struct EigenRun {
     pub elapsed: VirtualDuration,
     /// The raw runtime report.
     pub report: earth_rt::RunReport,
-    /// earth-profile data (filled by [`run_eigen_profiled`]).
+    /// earth-profile data (`Some` exactly when [`RunOpts::profile`] was set).
     pub profile: Option<earth_rt::RunProfile>,
 }
 
-/// Run the parallel bisection eigensolver on `nodes` simulated nodes.
+/// Run the parallel bisection eigensolver on a fault-free `nodes`-node
+/// MANNA.
 pub fn run_eigen(
     matrix: &SymTridiagonal,
     tol: f64,
@@ -275,86 +276,18 @@ pub fn run_eigen(
     seed: u64,
     mode: FetchMode,
 ) -> EigenRun {
-    run_eigen_inner(matrix, tol, MachineConfig::manna(nodes), seed, mode, false)
+    run_eigen_on(matrix, tol, mode, RunOpts::manna(nodes, seed))
 }
 
-/// Like [`run_eigen`] with earth-profile collection on; timing is
-/// identical to the unprofiled run.
-pub fn run_eigen_profiled(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    nodes: u16,
-    seed: u64,
-    mode: FetchMode,
-) -> EigenRun {
-    run_eigen_inner(matrix, tol, MachineConfig::manna(nodes), seed, mode, true)
-}
-
-/// Like [`run_eigen`] under a fault-injection plan: the reliability layer
-/// retransmits around drops and suppresses duplicates, so the computed
-/// eigenvalues are bit-identical to the fault-free run's — only virtual
-/// time (and the report's fault counters) degrade.
-pub fn run_eigen_faulted(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    nodes: u16,
-    seed: u64,
-    mode: FetchMode,
-    plan: &earth_machine::FaultPlan,
-) -> EigenRun {
-    let cfg = MachineConfig::manna(nodes).with_faults(plan.clone());
-    run_eigen_inner(matrix, tol, cfg, seed, mode, false)
-}
-
-/// Like [`run_eigen`] with node `crash_node` crash-stopped at `down` and
-/// — when `up` is given — restarted then; without `up` the failure
-/// detector triggers a failover restart at the detection instant. The
-/// checkpoint/recovery plane replays the lost work, so the computed
-/// eigenvalues are bit-identical to the fault-free run's; only virtual
-/// time (and the report's crash counters) degrade.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eigen_crashed(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    nodes: u16,
-    seed: u64,
-    mode: FetchMode,
-    crash_node: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> EigenRun {
-    let plan = match up {
-        Some(up) => earth_machine::FaultPlan::new().with_crash_restart(crash_node, down, up),
-        None => earth_machine::FaultPlan::new().with_node_crash(crash_node, down),
-    };
-    run_eigen_faulted(matrix, tol, nodes, seed, mode, &plan)
-}
-
-/// Lowest-level entry: run on a caller-supplied machine configuration
-/// (used by the queue-equivalence differential tests and ablations).
-pub fn run_eigen_on(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    cfg: MachineConfig,
-    seed: u64,
-    mode: FetchMode,
-) -> EigenRun {
-    run_eigen_inner(matrix, tol, cfg, seed, mode, false)
-}
-
-fn run_eigen_inner(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    cfg: MachineConfig,
-    seed: u64,
-    mode: FetchMode,
-    profile: bool,
-) -> EigenRun {
-    let nodes = cfg.nodes;
-    let mut rt = Runtime::new(cfg, seed);
-    if profile {
-        rt.enable_profile();
-    }
+/// Run the parallel bisection eigensolver as `opts` describes. Under a
+/// fault plan the reliability layer retransmits around drops and
+/// suppresses duplicates, and the checkpoint/recovery plane replays work
+/// lost to a crash, so the computed eigenvalues are bit-identical to the
+/// fault-free run's — only virtual time (and the report's fault and crash
+/// counters) degrade.
+pub fn run_eigen_on(matrix: &SymTridiagonal, tol: f64, mode: FetchMode, opts: RunOpts) -> EigenRun {
+    let (nodes, profile) = (opts.cfg.nodes, opts.profile);
+    let mut rt = opts.runtime();
     for node in 0..nodes {
         rt.set_state(
             NodeId(node),

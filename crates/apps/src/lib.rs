@@ -28,7 +28,10 @@
 //! *verified application result* (eigenvalues / Gröbner basis / network
 //! outputs are checked against the sequential substrate) and the
 //! simulated timing the benchmark harness turns into the paper's
-//! figures.
+//! figures. Each paper application has one general entry,
+//! `run_{eigen,groebner,neural}_on`, taking an [`earth_rt::RunOpts`]:
+//! faults, crashes, topology, queue, cost model and profiling are all
+//! fields of that value, not separate functions.
 
 pub mod eigen;
 pub mod groebner;

@@ -24,12 +24,12 @@
 //! The computation is the real `f32` arithmetic of `earth-nn`; forward
 //! activations are validated bit-for-bit against the sequential network.
 
-use earth_machine::{MachineConfig, NodeId};
+use earth_machine::NodeId;
 use earth_nn::cost::{backward_slice_cost, error_calc_cost, forward_slice_cost};
 use earth_nn::net::{sigmoid_prime, Mlp};
 use earth_nn::slice::{partition, UnitRange};
 use earth_rt::{
-    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, Runtime, SlotId, SlotRef, ThreadId, ThreadedFn,
+    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, RunOpts, SlotId, SlotRef, ThreadId, ThreadedFn,
 };
 use earth_sim::{Rng, VirtualDuration, VirtualTime};
 
@@ -497,12 +497,12 @@ pub struct NeuralRun {
     pub elapsed: VirtualDuration,
     /// Raw runtime report.
     pub report: earth_rt::RunReport,
-    /// earth-profile data (filled by [`run_neural_profiled`]).
+    /// earth-profile data (`Some` exactly when [`RunOpts::profile`] was set).
     pub profile: Option<earth_rt::RunProfile>,
 }
 
-/// Run `samples` training samples of a square `units`-wide network over
-/// `nodes` simulated nodes (the paper's configuration).
+/// Run `samples` training samples of a square `units`-wide network on a
+/// fault-free `nodes`-node MANNA (the paper's configuration).
 pub fn run_neural(
     units: usize,
     nodes: u16,
@@ -511,86 +511,12 @@ pub fn run_neural(
     mode: PassMode,
     shape: CommsShape,
 ) -> NeuralRun {
-    run_neural_shaped(units, units, units, nodes, samples, seed, mode, shape)
+    let opts = RunOpts::manna(nodes, seed);
+    run_neural_on(units, units, units, samples, mode, shape, opts)
 }
 
-/// Run a network with per-layer widths (the paper's §3.3 closing remark:
-/// "the number of units may differ per layer").
-#[allow(clippy::too_many_arguments)]
-pub fn run_neural_shaped(
-    n_in: usize,
-    n_hidden: usize,
-    n_out: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-) -> NeuralRun {
-    run_neural_on(
-        MachineConfig::manna(nodes),
-        n_in,
-        n_hidden,
-        n_out,
-        samples,
-        seed,
-        mode,
-        shape,
-    )
-}
-
-/// Like [`run_neural`] under a fault-injection plan: the reliability
-/// layer makes the collect/distribute traffic exactly-once, so the
-/// trained weights and outputs are bit-identical to the fault-free
-/// run's — only virtual time degrades.
-pub fn run_neural_faulted(
-    units: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-    plan: &earth_machine::FaultPlan,
-) -> NeuralRun {
-    run_neural_on(
-        MachineConfig::manna(nodes).with_faults(plan.clone()),
-        units,
-        units,
-        units,
-        samples,
-        seed,
-        mode,
-        shape,
-    )
-}
-
-/// Like [`run_neural`] with node `crash_node` crash-stopped at `down`
-/// and — when `up` is given — restarted then; without `up` the failure
-/// detector triggers a failover restart at the detection instant. The
-/// checkpoint/recovery plane replays the lost work, so the trained
-/// weights and outputs are bit-identical to the fault-free run's; only
-/// virtual time degrades.
-#[allow(clippy::too_many_arguments)]
-pub fn run_neural_crashed(
-    units: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-    crash_node: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> NeuralRun {
-    let plan = match up {
-        Some(up) => earth_machine::FaultPlan::new().with_crash_restart(crash_node, down, up),
-        None => earth_machine::FaultPlan::new().with_node_crash(crash_node, down),
-    };
-    run_neural_faulted(units, nodes, samples, seed, mode, shape, &plan)
-}
-
-/// Like [`run_neural`] with earth-profile collection on; timing is
-/// identical to the unprofiled run.
+/// Like [`run_neural`] with earth-profile collection on. Kept for the
+/// benchmark harness; new callers use [`run_neural_on`].
 pub fn run_neural_profiled(
     units: usize,
     nodes: u16,
@@ -599,55 +525,29 @@ pub fn run_neural_profiled(
     mode: PassMode,
     shape: CommsShape,
 ) -> NeuralRun {
-    run_neural_inner(
-        MachineConfig::manna(nodes),
-        units,
-        units,
-        units,
-        samples,
-        seed,
-        mode,
-        shape,
-        true,
-    )
+    let opts = RunOpts::manna(nodes, seed).profiled();
+    run_neural_on(units, units, units, samples, mode, shape, opts)
 }
 
-/// Lowest-level entry: run on a caller-supplied machine configuration
-/// (used by the dual-processor and cost-model ablations).
-#[allow(clippy::too_many_arguments)]
+/// Run `samples` training samples of a network with per-layer widths (the
+/// paper's §3.3 closing remark: "the number of units may differ per
+/// layer") as `opts` describes. Under a fault plan the reliability layer
+/// makes the collect/distribute traffic exactly-once, and the
+/// checkpoint/recovery plane replays work lost to a crash, so the trained
+/// weights and outputs are bit-identical to the fault-free run's — only
+/// virtual time degrades.
 pub fn run_neural_on(
-    cfg: MachineConfig,
     n_in: usize,
     n_hidden: usize,
     n_out: usize,
     samples: usize,
-    seed: u64,
     mode: PassMode,
     shape: CommsShape,
-) -> NeuralRun {
-    run_neural_inner(
-        cfg, n_in, n_hidden, n_out, samples, seed, mode, shape, false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_neural_inner(
-    cfg: MachineConfig,
-    n_in: usize,
-    n_hidden: usize,
-    n_out: usize,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-    profile: bool,
+    opts: RunOpts,
 ) -> NeuralRun {
     assert!(samples >= 1);
-    let nodes = cfg.nodes;
-    let mut rt = Runtime::new(cfg, seed);
-    if profile {
-        rt.enable_profile();
-    }
+    let (nodes, seed, profile) = (opts.cfg.nodes, opts.seed, opts.profile);
+    let mut rt = opts.runtime();
     let hidden_ranges = partition(n_hidden, nodes as usize);
     let out_ranges = partition(n_out, nodes as usize);
     let net = Mlp::new(n_in, n_hidden, n_out, seed ^ 0xD1);
@@ -809,15 +709,14 @@ mod shaped_tests {
     fn rectangular_forward_is_bit_exact() {
         // 12 inputs, 20 hidden, 6 outputs over 5 nodes.
         let (n_in, n_hidden, n_out) = (12, 20, 6);
-        let run = run_neural_shaped(
+        let run = run_neural_on(
             n_in,
             n_hidden,
             n_out,
-            5,
             2,
-            13,
             PassMode::Forward,
             CommsShape::Tree,
+            RunOpts::manna(5, 13),
         );
         let net = Mlp::new(n_in, n_hidden, n_out, 13 ^ 0xD1);
         let mut rng = Rng::new(13 ^ 0x5A);
@@ -836,15 +735,14 @@ mod shaped_tests {
     #[test]
     fn rectangular_backward_tracks_sequential() {
         let (n_in, n_hidden, n_out) = (8, 14, 5);
-        let run = run_neural_shaped(
+        let run = run_neural_on(
             n_in,
             n_hidden,
             n_out,
-            4,
             3,
-            21,
             PassMode::ForwardBackward,
             CommsShape::Sequential,
+            RunOpts::manna(4, 21),
         );
         let mut net = Mlp::new(n_in, n_hidden, n_out, 21 ^ 0xD1);
         let mut rng = Rng::new(21 ^ 0x5A);

@@ -64,6 +64,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
+    let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if quick { Scale::Quick } else { Scale::Paper };
     let what: Vec<&str> = args
         .iter()
@@ -171,12 +172,10 @@ fn main() {
         println!("{}", if json { t.to_json() } else { t.render() });
     }
     if what.contains(&"scale") {
-        let smoke = args.iter().any(|a| a == "--smoke");
         let t = if smoke { scale_smoke() } else { scale_table() };
         println!("{}", if json { t.to_json() } else { t.render() });
     }
     if what.contains(&"traffic") {
-        let smoke = args.iter().any(|a| a == "--smoke");
         let t = if smoke {
             traffic_smoke()
         } else {
@@ -185,7 +184,6 @@ fn main() {
         println!("{}", if json { t.to_json() } else { t.render() });
     }
     if what.contains(&"overload") {
-        let smoke = args.iter().any(|a| a == "--smoke");
         let t = if smoke {
             overload_smoke()
         } else {
@@ -194,7 +192,6 @@ fn main() {
         println!("{}", if json { t.to_json() } else { t.render() });
     }
     if what.contains(&"stragglers") {
-        let smoke = args.iter().any(|a| a == "--smoke");
         let t = if smoke {
             stragglers_smoke()
         } else {
@@ -203,7 +200,6 @@ fn main() {
         println!("{}", if json { t.to_json() } else { t.render() });
     }
     if what.contains(&"bench") {
-        let smoke = args.iter().any(|a| a == "--smoke");
         let doc = sweeps_to_json(&run_sweeps(smoke));
         if let Some(pos) = args.iter().position(|a| a == "--check-schema") {
             let path = args

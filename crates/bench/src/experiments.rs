@@ -4,14 +4,13 @@ use crate::workloads::*;
 use earth_algebra::buchberger::{buchberger, SelectionStrategy};
 use earth_algebra::inputs::{katsura, table2_inputs};
 use earth_algebra::wire::wire_len;
-use earth_apps::eigen::{
-    run_eigen, run_eigen_faulted, run_eigen_on, run_eigen_profiled, EigenRun, FetchMode,
-};
-use earth_apps::groebner::{run_groebner, run_groebner_profiled, run_groebner_topo, GroebnerRun};
+use earth_apps::eigen::{run_eigen, run_eigen_on, EigenRun, FetchMode};
+use earth_apps::groebner::{run_groebner, run_groebner_on, GroebnerRun};
 use earth_apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_linalg::bisect::bisect_all;
 use earth_linalg::SymTridiagonal;
 use earth_machine::{FaultPlan, MachineConfig, TopologyKind};
+use earth_rt::RunOpts;
 use earth_sim::{Summary, VirtualDuration, VirtualTime};
 use std::fmt::Write as _;
 
@@ -509,15 +508,15 @@ pub fn dual_check(scale: Scale) -> DualCheck {
         } else {
             MachineConfig::manna(n)
         };
+        let opts = RunOpts::new(cfg, 7);
         run_neural_on(
-            cfg,
             units,
             units,
             units,
             samples,
-            7,
             PassMode::ForwardBackward,
             CommsShape::Tree,
+            opts,
         )
         .per_sample
     });
@@ -572,10 +571,11 @@ pub struct ProfileDemo {
 pub fn profile_demo() -> ProfileDemo {
     let m = eigen_matrix(Scale::Quick);
     let tol = eigen_tol(Scale::Quick);
-    let eigen = run_eigen_profiled(&m, tol, 8, 42, FetchMode::Block);
+    let eigen = run_eigen_on(&m, tol, FetchMode::Block, RunOpts::manna(8, 42).profiled());
     let (name, ring, input) = table2_inputs().remove(0);
     debug_assert_eq!(name, "Lazard");
-    let groebner = run_groebner_profiled(&ring, &input, 8, 1, SelectionStrategy::Sugar, None);
+    let opts = RunOpts::manna(8, 1).profiled();
+    let groebner = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts);
     ProfileDemo { eigen, groebner }
 }
 
@@ -658,7 +658,8 @@ pub fn faults_table() -> FaultsTable {
                 .iter()
                 .enumerate()
                 .map(|(ni, &n)| {
-                    let run = run_eigen_faulted(&m, tol, n, seed, FetchMode::Block, &plan);
+                    let cfg = MachineConfig::manna(n).with_faults(plan.clone());
+                    let run = run_eigen_on(&m, tol, FetchMode::Block, RunOpts::new(cfg, seed));
                     assert_eq!(
                         run.eigenvalues, reference[ni],
                         "drop {drop} on {n} nodes changed the eigenvalues"
@@ -788,7 +789,8 @@ pub fn crashes_table() -> CrashesTable {
                     let plan = FaultPlan::new()
                         .with_node_crash(crash_node, down)
                         .with_checkpoint_every(VirtualDuration::from_us(ck));
-                    let run = run_eigen_faulted(&m, tol, nodes, seed, FetchMode::Block, &plan);
+                    let cfg = MachineConfig::manna(nodes).with_faults(plan);
+                    let run = run_eigen_on(&m, tol, FetchMode::Block, RunOpts::new(cfg, seed));
                     assert_eq!(
                         run.eigenvalues, reference,
                         "crash at {num}/{den} with {ck}us checkpoints changed the eigenvalues"
@@ -931,29 +933,24 @@ fn scale_at(nodes: &[u16]) -> ScaleTable {
                 .flat_map(move |&t| nodes.iter().map(move |&n| (app, t, n)))
         })
         .collect();
-    let results = par_map(jobs, |(app, topo, n)| match app {
-        0 => {
-            let cfg = MachineConfig::manna(n).with_topology(topo);
-            let run = run_eigen_on(&m, tol, cfg, 42, FetchMode::Block);
-            (run.elapsed, Some(run.eigenvalues))
-        }
-        1 => {
-            let run = run_groebner_topo(&ring, &input, n, 1, SelectionStrategy::Sugar, topo);
-            (run.elapsed, None)
-        }
-        _ => {
-            let cfg = MachineConfig::manna(n).with_topology(topo);
-            let run = run_neural_on(
-                cfg,
-                units,
-                units,
-                units,
-                1,
-                7,
-                PassMode::Forward,
-                CommsShape::Tree,
-            );
-            (run.per_sample, None)
+    let results = par_map(jobs, |(app, topo, n)| {
+        let cfg = MachineConfig::manna(n).with_topology(topo);
+        match app {
+            0 => {
+                let run = run_eigen_on(&m, tol, FetchMode::Block, RunOpts::new(cfg, 42));
+                (run.elapsed, Some(run.eigenvalues))
+            }
+            1 => {
+                let opts = RunOpts::new(cfg, 1);
+                let run = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts);
+                (run.elapsed, None)
+            }
+            _ => {
+                let (mode, shape) = (PassMode::Forward, CommsShape::Tree);
+                let opts = RunOpts::new(cfg, 7);
+                let run = run_neural_on(units, units, units, 1, mode, shape, opts);
+                (run.per_sample, None)
+            }
         }
     });
 

@@ -6,7 +6,6 @@
 //! keep the dependency set at the workspace's approved minimum.
 
 use crate::experiments::*;
-use std::fmt::Write as _;
 
 fn num(x: f64) -> String {
     if x.is_finite() {
@@ -16,28 +15,10 @@ fn num(x: f64) -> String {
     }
 }
 
-fn series(xs: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&num(*x));
-    }
-    s.push(']');
-    s
-}
-
-fn nodes_list(nodes: &[u16]) -> String {
-    let mut s = String::from("[");
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{n}");
-    }
-    s.push(']');
-    s
+/// A JSON array: each item rendered by `item`, comma-joined.
+fn list<T>(items: impl IntoIterator<Item = T>, item: impl FnMut(T) -> String) -> String {
+    let body: Vec<String> = items.into_iter().map(item).collect();
+    format!("[{}]", body.join(","))
 }
 
 impl Table1 {
@@ -60,9 +41,9 @@ impl Fig2 {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"experiment\":\"fig2\",\"nodes\":{},\"individual\":{},\"block\":{}}}",
-            nodes_list(&self.nodes),
-            series(&self.individual),
-            series(&self.block)
+            list(&self.nodes, u16::to_string),
+            list(&self.individual, |&x| num(x)),
+            list(&self.block, |&x| num(x))
         )
     }
 }
@@ -70,89 +51,61 @@ impl Fig2 {
 impl Table2 {
     /// JSON record.
     pub fn to_json(&self) -> String {
-        let mut rows = String::from("[");
-        for (i, (name, seq, pairs, added, step, size)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push(',');
-            }
-            let _ = write!(
-                rows,
+        let rows = list(&self.rows, |(name, seq, pairs, added, step, size)| {
+            format!(
                 "{{\"input\":\"{name}\",\"seq_ms\":{},\"pairs\":{pairs},\"added\":{added},\"mean_step_ms\":{},\"mean_size_bytes\":{}}}",
                 num(seq.as_ms_f64()),
                 num(step.as_ms_f64()),
                 num(*size)
-            );
-        }
-        rows.push(']');
+            )
+        });
         format!("{{\"experiment\":\"table2\",\"rows\":{rows}}}")
     }
 }
 
 /// JSON record for a set of Gröbner speedup curves (figs 4/5).
 pub fn groebner_curves_to_json(experiment: &str, curves: &[GroebnerCurve]) -> String {
-    let mut arr = String::from("[");
-    for (i, c) in curves.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
+    let arr = list(curves, |c| {
         let overhead = match c.overhead_us {
             None => "null".to_string(),
             Some(us) => us.to_string(),
         };
-        let mean: Vec<f64> = c.speedups.iter().map(|s| s.mean).collect();
-        let min: Vec<f64> = c.speedups.iter().map(|s| s.min).collect();
-        let max: Vec<f64> = c.speedups.iter().map(|s| s.max).collect();
-        let _ = write!(
-            arr,
+        format!(
             "{{\"input\":\"{}\",\"overhead_us\":{overhead},\"nodes\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
             c.input,
-            nodes_list(&c.nodes),
-            series(&mean),
-            series(&min),
-            series(&max)
-        );
-    }
-    arr.push(']');
+            list(&c.nodes, u16::to_string),
+            list(&c.speedups, |s| num(s.mean)),
+            list(&c.speedups, |s| num(s.min)),
+            list(&c.speedups, |s| num(s.max))
+        )
+    });
     format!("{{\"experiment\":\"{experiment}\",\"curves\":{arr}}}")
 }
 
 /// JSON record for neural curves (figs 7/8).
 pub fn neural_curves_to_json(experiment: &str, curves: &[NeuralCurve]) -> String {
-    let mut arr = String::from("[");
-    for (i, c) in curves.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        let times: Vec<f64> = c.per_sample.iter().map(|t| t.as_us_f64()).collect();
-        let _ = write!(
-            arr,
+    let arr = list(curves, |c| {
+        format!(
             "{{\"units\":{},\"nodes\":{},\"speedup\":{},\"per_sample_us\":{}}}",
             c.units,
-            nodes_list(&c.nodes),
-            series(&c.speedups),
-            series(&times)
-        );
-    }
-    arr.push(']');
+            list(&c.nodes, u16::to_string),
+            list(&c.speedups, |&x| num(x)),
+            list(&c.per_sample, |t| num(t.as_us_f64()))
+        )
+    });
     format!("{{\"experiment\":\"{experiment}\",\"curves\":{arr}}}")
 }
 
 impl Table3 {
     /// JSON record.
     pub fn to_json(&self) -> String {
-        let mut rows = String::from("[");
-        for (i, (units, seq, per_unit)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push(',');
-            }
-            let _ = write!(
-                rows,
+        let rows = list(&self.rows, |(units, seq, per_unit)| {
+            format!(
                 "{{\"units\":{units},\"seq_ms\":{},\"per_unit_us\":{}}}",
                 num(seq.as_ms_f64()),
                 num(per_unit.as_us_f64())
-            );
-        }
-        rows.push(']');
+            )
+        });
         format!("{{\"experiment\":\"table3\",\"rows\":{rows}}}")
     }
 }
@@ -161,39 +114,25 @@ impl FaultsTable {
     /// JSON record. Every value is a pure function of the fixed seed
     /// and plan, so the record is byte-identical across invocations.
     pub fn to_json(&self) -> String {
-        let drops: Vec<f64> = self.drops.clone();
-        let base: Vec<f64> = self.baseline.iter().map(|d| d.as_us_f64()).collect();
-        let mut rows = String::from("[");
-        for (di, &drop) in self.drops.iter().enumerate() {
-            if di > 0 {
-                rows.push(',');
-            }
-            let mut cells = String::from("[");
-            for (ni, &n) in self.nodes.iter().enumerate() {
-                if ni > 0 {
-                    cells.push(',');
-                }
-                let c = &self.cells[di][ni];
-                let _ = write!(
-                    cells,
+        let rows = list(self.drops.iter().zip(&self.cells), |(&drop, row)| {
+            let cells = list(self.nodes.iter().zip(row), |(n, c)| {
+                format!(
                     "{{\"nodes\":{n},\"elapsed_us\":{},\"slowdown\":{},\"retransmits\":{},\"dropped\":{},\"duplicated\":{}}}",
                     num(c.elapsed.as_us_f64()),
                     num(c.slowdown),
                     c.retransmits,
                     c.dropped,
                     c.duplicated
-                );
-            }
-            cells.push(']');
-            let _ = write!(rows, "{{\"drop\":{},\"cells\":{cells}}}", num(drop));
-        }
-        rows.push(']');
+                )
+            });
+            format!("{{\"drop\":{},\"cells\":{cells}}}", num(drop))
+        });
         format!(
             "{{\"experiment\":\"faults\",\"seed\":42,\"dup\":{},\"nodes\":{},\"drops\":{},\"baseline_us\":{},\"rows\":{rows}}}",
             num(self.dup),
-            nodes_list(&self.nodes),
-            series(&drops),
-            series(&base)
+            list(&self.nodes, u16::to_string),
+            list(&self.drops, |&x| num(x)),
+            list(&self.baseline, |d| num(d.as_us_f64()))
         )
     }
 }
@@ -202,19 +141,11 @@ impl CrashesTable {
     /// JSON record. Every value is a pure function of the fixed seed
     /// and plan, so the record is byte-identical across invocations.
     pub fn to_json(&self) -> String {
-        let mut rows = String::from("[");
-        for (fi, &(fnum, fden)) in self.crash_fracs.iter().enumerate() {
-            if fi > 0 {
-                rows.push(',');
-            }
-            let mut cells = String::from("[");
-            for (ci, &ck) in self.ckpt_us.iter().enumerate() {
-                if ci > 0 {
-                    cells.push(',');
-                }
-                let c = &self.cells[fi][ci];
-                let _ = write!(
-                    cells,
+        let rows = list(
+            self.crash_fracs.iter().zip(&self.cells),
+            |((fnum, fden), row)| {
+                let cells = list(self.ckpt_us.iter().zip(row), |(ck, c)| {
+                    format!(
                     "{{\"ckpt_us\":{ck},\"elapsed_us\":{},\"slowdown\":{},\"checkpoints\":{},\"heartbeats\":{},\"rehomed\":{},\"downtime_us\":{}}}",
                     num(c.elapsed.as_us_f64()),
                     num(c.slowdown),
@@ -222,15 +153,11 @@ impl CrashesTable {
                     c.heartbeats,
                     c.rehomed,
                     num(c.downtime.as_us_f64())
-                );
-            }
-            cells.push(']');
-            let _ = write!(
-                rows,
-                "{{\"crash_frac\":\"{fnum}/{fden}\",\"cells\":{cells}}}"
-            );
-        }
-        rows.push(']');
+                )
+                });
+                format!("{{\"crash_frac\":\"{fnum}/{fden}\",\"cells\":{cells}}}")
+            },
+        );
         format!(
             "{{\"experiment\":\"crashes\",\"seed\":42,\"nodes\":20,\"crash_node\":{},\"baseline_us\":{},\"rows\":{rows}}}",
             self.crash_node,
@@ -244,43 +171,21 @@ impl ScaleTable {
     /// and workloads, so the record is byte-identical across
     /// invocations.
     pub fn to_json(&self) -> String {
-        let mut apps = String::from("[");
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                apps.push(',');
-            }
-            let _ = write!(apps, "\"{a}\"");
-        }
-        apps.push(']');
-        let mut topos = String::from("[");
-        for (i, t) in crate::experiments::scale_topologies().iter().enumerate() {
-            if i > 0 {
-                topos.push(',');
-            }
-            let _ = write!(topos, "\"{}\"", t.label());
-        }
-        topos.push(']');
-        let base: Vec<f64> = self.baseline.iter().map(|d| d.as_us_f64()).collect();
-        let mut curves = String::from("[");
-        for (i, c) in self.curves.iter().enumerate() {
-            if i > 0 {
-                curves.push(',');
-            }
-            let elapsed: Vec<f64> = c.elapsed.iter().map(|d| d.as_us_f64()).collect();
-            let _ = write!(
-                curves,
+        let apps = list(&self.apps, |a| format!("\"{a}\""));
+        let topos = list(scale_topologies(), |t| format!("\"{}\"", t.label()));
+        let curves = list(&self.curves, |c| {
+            format!(
                 "{{\"app\":\"{}\",\"topology\":\"{}\",\"elapsed_us\":{},\"speedup\":{}}}",
                 c.app,
                 c.topology,
-                series(&elapsed),
-                series(&c.speedups)
-            );
-        }
-        curves.push(']');
+                list(&c.elapsed, |d| num(d.as_us_f64())),
+                list(&c.speedups, |&x| num(x))
+            )
+        });
         format!(
             "{{\"experiment\":\"scale\",\"nodes\":{},\"apps\":{apps},\"topologies\":{topos},\"baseline_us\":{},\"curves\":{curves}}}",
-            nodes_list(&self.nodes),
-            series(&base)
+            list(&self.nodes, u16::to_string),
+            list(&self.baseline, |d| num(d.as_us_f64()))
         )
     }
 }
@@ -289,29 +194,18 @@ impl crate::traffic_sweep::TrafficTable {
     /// JSON record. Every value is a pure function of the fixed seeds
     /// and plans, so the record is byte-identical across invocations.
     pub fn to_json(&self) -> String {
-        let mut cells = String::from("[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                cells.push(',');
-            }
-            let mut classes = String::from("[");
-            for (j, cl) in c.classes.iter().enumerate() {
-                if j > 0 {
-                    classes.push(',');
-                }
-                let _ = write!(
-                    classes,
+        let cells = list(&self.cells, |c| {
+            let classes = list(&c.classes, |cl| {
+                format!(
                     "{{\"name\":\"{}\",\"jobs\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
                     cl.name,
                     cl.jobs,
                     num(cl.p50_us),
                     num(cl.p95_us),
                     num(cl.p99_us)
-                );
-            }
-            classes.push(']');
-            let _ = write!(
-                cells,
+                )
+            });
+            format!(
                 "{{\"variant\":\"{}\",\"offered_per_sec\":{},\"nodes\":{},\"completed\":{},\"makespan_us\":{},\"sojourn_us\":{{\"n\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},\"classes\":{classes}}}",
                 c.variant,
                 num(c.offered),
@@ -324,14 +218,13 @@ impl crate::traffic_sweep::TrafficTable {
                 num(c.sojourn.p95_ns / 1_000.0),
                 num(c.sojourn.p99_ns / 1_000.0),
                 num(c.sojourn.max_ns / 1_000.0)
-            );
-        }
-        cells.push(']');
+            )
+        });
         format!(
             "{{\"experiment\":\"traffic\",\"jobs\":{},\"loads_per_sec\":{},\"nodes\":{},\"cells\":{cells}}}",
             self.jobs,
-            series(&self.loads),
-            nodes_list(&self.nodes)
+            list(&self.loads, |&x| num(x)),
+            list(&self.nodes, u16::to_string)
         )
     }
 }
@@ -340,13 +233,8 @@ impl crate::overload_sweep::OverloadTable {
     /// JSON record. Every value is a pure function of the fixed seeds
     /// and plans, so the record is byte-identical across invocations.
     pub fn to_json(&self) -> String {
-        let mut cells = String::from("[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                cells.push(',');
-            }
-            let _ = write!(
-                cells,
+        let cells = list(&self.cells, |c| {
+            format!(
                 "{{\"variant\":\"{}\",\"offered_per_sec\":{},\"jobs\":{},\"completed\":{},\"rejected\":{},\"expired\":{},\"attained\":{},\"goodput\":{},\"retries\":{},\"queue_rejections\":{},\"breaker_rejections\":{},\"breaker_opens\":{},\"sheds\":{},\"peak_waiting\":{},\"p99_us\":{},\"makespan_us\":{}}}",
                 c.variant,
                 num(c.offered),
@@ -364,14 +252,13 @@ impl crate::overload_sweep::OverloadTable {
                 c.peak_waiting,
                 num(c.p99_us),
                 num(c.makespan.as_us_f64())
-            );
-        }
-        cells.push(']');
+            )
+        });
         format!(
             "{{\"experiment\":\"overload\",\"jobs\":{},\"nodes\":{},\"loads_per_sec\":{},\"cells\":{cells}}}",
             self.jobs,
             self.nodes,
-            series(&self.loads)
+            list(&self.loads, |&x| num(x))
         )
     }
 }
@@ -380,13 +267,8 @@ impl crate::straggler_sweep::StragglerTable {
     /// JSON record. Every value is a pure function of the fixed seeds
     /// and plans, so the record is byte-identical across invocations.
     pub fn to_json(&self) -> String {
-        let mut cells = String::from("[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                cells.push(',');
-            }
-            let _ = write!(
-                cells,
+        let cells = list(&self.cells, |c| {
+            format!(
                 "{{\"variant\":\"{}\",\"factor\":{},\"nodes\":{},\"jobs\":{},\"completed\":{},\"attained\":{},\"goodput\":{},\"slow_windows\":{},\"hedges_sent\":{},\"hedges_won\":{},\"quarantines\":{},\"speculated\":{},\"p99_us\":{},\"makespan_us\":{}}}",
                 c.variant,
                 num(c.factor),
@@ -402,14 +284,13 @@ impl crate::straggler_sweep::StragglerTable {
                 c.speculated,
                 num(c.p99_us),
                 num(c.makespan.as_us_f64())
-            );
-        }
-        cells.push(']');
+            )
+        });
         format!(
             "{{\"experiment\":\"stragglers\",\"jobs\":{},\"factors\":{},\"node_counts\":{},\"cells\":{cells}}}",
             self.jobs,
-            series(&self.factors),
-            nodes_list(&self.node_counts)
+            list(&self.factors, |&x| num(x)),
+            list(&self.node_counts, u16::to_string)
         )
     }
 }
@@ -419,9 +300,9 @@ impl CommsAblation {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"experiment\":\"comms_ablation\",\"nodes\":{},\"sequential\":{},\"tree\":{}}}",
-            nodes_list(&self.nodes),
-            series(&self.sequential),
-            series(&self.tree)
+            list(&self.nodes, u16::to_string),
+            list(&self.sequential, |&x| num(x)),
+            list(&self.tree, |&x| num(x))
         )
     }
 }

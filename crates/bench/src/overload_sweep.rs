@@ -23,11 +23,9 @@
 //! artifact.
 
 use crate::workloads::par_map;
-use earth_machine::FaultPlan;
+use earth_machine::{FaultPlan, MachineConfig};
 use earth_sim::{VirtualDuration, VirtualTime};
-use earth_traffic::{
-    run_traffic, run_traffic_crashed, run_traffic_faulted, SloSummary, TrafficPlan, TrafficRun,
-};
+use earth_traffic::{run_traffic, run_traffic_on, SloSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
 
 /// The stream seed every cell shares: across a row (same offered load)
@@ -168,22 +166,21 @@ fn overload_at(jobs: u32, nodes: u16, loads: &[f64]) -> OverloadTable {
     // reliability and recovery planes active underneath.
     let hi_load = *loads.last().unwrap();
     let hi = defended_plan(jobs, hi_load);
+    let lossy = MachineConfig::manna(nodes).with_faults(FaultPlan::lossy());
     cells.push(cell(
         "defended_lossy",
         hi_load,
-        run_traffic_faulted(&hi, nodes, RT_SEED, &FaultPlan::lossy()),
+        run_traffic_on(&hi, lossy, RT_SEED),
     ));
+    let crash = FaultPlan::new().with_crash_restart(
+        CRASH_NODE,
+        VirtualTime::from_ns(CRASH_DOWN_NS),
+        VirtualTime::from_ns(CRASH_UP_NS),
+    );
     cells.push(cell(
         "defended_crashed",
         hi_load,
-        run_traffic_crashed(
-            &hi,
-            nodes,
-            RT_SEED,
-            CRASH_NODE,
-            VirtualTime::from_ns(CRASH_DOWN_NS),
-            Some(VirtualTime::from_ns(CRASH_UP_NS)),
-        ),
+        run_traffic_on(&hi, MachineConfig::manna(nodes).with_faults(crash), RT_SEED),
     ));
     OverloadTable {
         jobs,

@@ -20,19 +20,12 @@
 
 use earth_algebra::buchberger::SelectionStrategy;
 use earth_algebra::inputs::katsura;
-use earth_apps::eigen::{
-    run_eigen, run_eigen_crashed, run_eigen_faulted, run_eigen_profiled, FetchMode,
-};
-use earth_apps::groebner::{
-    run_groebner, run_groebner_crashed, run_groebner_faulted, run_groebner_profiled,
-    run_groebner_topo,
-};
-use earth_apps::neural::{
-    run_neural, run_neural_crashed, run_neural_faulted, run_neural_profiled, CommsShape, PassMode,
-};
+use earth_apps::eigen::{run_eigen, run_eigen_on, FetchMode};
+use earth_apps::groebner::{run_groebner, run_groebner_on};
+use earth_apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_linalg::SymTridiagonal;
-use earth_machine::FaultPlan;
-use earth_rt::RunReport;
+use earth_machine::{FaultPlan, MachineConfig};
+use earth_rt::{RunOpts, RunReport};
 use earth_sim::{VirtualDuration, VirtualTime};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -58,6 +51,11 @@ pub struct SweepResult {
 /// Repetitions per sweep at full size; the best (minimum) wall time is
 /// kept, the usual convention for wall-clock baselines.
 const FULL_REPS: usize = 3;
+
+/// An unprofiled run on a `nodes`-node MANNA under `plan`.
+fn faulted(nodes: u16, seed: u64, plan: FaultPlan) -> RunOpts {
+    RunOpts::new(MachineConfig::manna(nodes).with_faults(plan), seed)
+}
 
 fn measure(
     name: &'static str,
@@ -100,20 +98,22 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     } else {
         (SymTridiagonal::random_clustered(240, 6, 1997), 1e-6, 20)
     };
+    let eigen = |opts| run_eigen_on(&m, tol, FetchMode::Block, opts).report;
     out.push(measure("eigen", en, reps, || {
         run_eigen(&m, tol, en, 42, FetchMode::Block).report
     }));
     out.push(measure("eigen_faulted", en, reps, || {
-        run_eigen_faulted(&m, tol, en, 42, FetchMode::Block, &FaultPlan::lossy()).report
+        eigen(faulted(en, 42, FaultPlan::lossy()))
     }));
     let clean = run_eigen(&m, tol, en, 42, FetchMode::Block);
     let down = VirtualTime::ZERO + clean.report.elapsed / 2;
     let up = down + VirtualDuration::from_us(3_000);
     out.push(measure("eigen_crashed", en, reps, || {
-        run_eigen_crashed(&m, tol, en, 42, FetchMode::Block, 3, down, Some(up)).report
+        let crash = FaultPlan::new().with_crash_restart(3, down, up);
+        eigen(faulted(en, 42, crash))
     }));
     out.push(measure("eigen_profiled", en, reps, || {
-        run_eigen_profiled(&m, tol, en, 42, FetchMode::Block).report
+        eigen(RunOpts::manna(en, 42).profiled())
     }));
 
     // -- Groebner basis completion --------------------------------------
@@ -125,35 +125,19 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     out.push(measure("groebner", gn, reps, || {
         run_groebner(&ring, &input, gn, 1, SelectionStrategy::Sugar, None).report
     }));
+    let groebner = |opts| run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts).report;
     out.push(measure("groebner_faulted", gn, reps, || {
-        run_groebner_faulted(
-            &ring,
-            &input,
-            gn,
-            1,
-            SelectionStrategy::Sugar,
-            &FaultPlan::lossy(),
-        )
-        .report
+        groebner(faulted(gn, 1, FaultPlan::lossy()))
     }));
     let gclean = run_groebner(&ring, &input, gn, 1, SelectionStrategy::Sugar, None);
     let gdown = VirtualTime::ZERO + gclean.report.elapsed / 2;
     let gup = gdown + VirtualDuration::from_us(3_000);
     out.push(measure("groebner_crashed", gn, reps, || {
-        run_groebner_crashed(
-            &ring,
-            &input,
-            gn,
-            1,
-            SelectionStrategy::Sugar,
-            2,
-            gdown,
-            Some(gup),
-        )
-        .report
+        let crash = FaultPlan::new().with_crash_restart(2, gdown, gup);
+        groebner(faulted(gn, 1, crash))
     }));
     out.push(measure("groebner_profiled", gn, reps, || {
-        run_groebner_profiled(&ring, &input, gn, 1, SelectionStrategy::Sugar, None).report
+        groebner(RunOpts::manna(gn, 1).profiled())
     }));
 
     // -- Neural network training ----------------------------------------
@@ -163,17 +147,19 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     out.push(measure("neural", nn, reps, || {
         run_neural(units, nn, samples, 21, mode, shape).report
     }));
+    let neural = |opts| run_neural_on(units, units, units, samples, mode, shape, opts).report;
     out.push(measure("neural_faulted", nn, reps, || {
-        run_neural_faulted(units, nn, samples, 21, mode, shape, &FaultPlan::lossy()).report
+        neural(faulted(nn, 21, FaultPlan::lossy()))
     }));
     let nclean = run_neural(units, nn, samples, 21, mode, shape);
     let ndown = VirtualTime::ZERO + nclean.report.elapsed / 2;
     let nup = ndown + VirtualDuration::from_us(2_000);
     out.push(measure("neural_crashed", nn, reps, || {
-        run_neural_crashed(units, nn, samples, 21, mode, shape, 5, ndown, Some(nup)).report
+        let crash = FaultPlan::new().with_crash_restart(5, ndown, nup);
+        neural(faulted(nn, 21, crash))
     }));
     out.push(measure("neural_profiled", nn, reps, || {
-        run_neural_profiled(units, nn, samples, 21, mode, shape).report
+        neural(RunOpts::manna(nn, 21).profiled())
     }));
 
     // -- Traffic plane ---------------------------------------------------
@@ -195,7 +181,9 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     let tdown = VirtualTime::from_ns(2_000_000);
     let tup = tdown + VirtualDuration::from_us(3_000);
     out.push(measure("traffic_crashed", tn, reps, || {
-        earth_traffic::run_traffic_crashed(&t_high, tn, 42, 3, tdown, Some(tup)).report
+        let crash = FaultPlan::new().with_crash_restart(3, tdown, tup);
+        earth_traffic::run_traffic_on(&t_high, MachineConfig::manna(tn).with_faults(crash), 42)
+            .report
     }));
 
     // -- Overload control -------------------------------------------------
@@ -234,7 +222,8 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         .with_quarantine(VirtualDuration::from_us(20_000))
         .with_speculative_rehoming();
     out.push(measure("stragglers_defended", tn, reps, || {
-        earth_traffic::run_traffic_faulted(&t_high, tn, 42, &straggled).report
+        let cfg = MachineConfig::manna(tn).with_faults(straggled.clone());
+        earth_traffic::run_traffic_on(&t_high, cfg, 42).report
     }));
 
     // -- Topology scale points ------------------------------------------
@@ -250,7 +239,8 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         ("scale_fattree", earth_machine::TopologyKind::fat_tree()),
     ] {
         out.push(measure(name, sn, reps, || {
-            run_groebner_topo(&sring, &sinput, sn, 1, SelectionStrategy::Sugar, kind).report
+            let opts = RunOpts::new(MachineConfig::manna(sn).with_topology(kind), 1);
+            run_groebner_on(&sring, &sinput, SelectionStrategy::Sugar, opts).report
         }));
     }
 

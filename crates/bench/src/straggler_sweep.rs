@@ -24,9 +24,9 @@
 //! artifact.
 
 use crate::workloads::par_map;
-use earth_machine::FaultPlan;
+use earth_machine::{FaultPlan, MachineConfig};
 use earth_sim::{VirtualDuration, VirtualTime};
-use earth_traffic::{run_traffic_faulted, SloSummary, TrafficPlan, TrafficRun};
+use earth_traffic::{run_traffic_on, SloSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
 
 /// The stream seed every cell shares: across a row the arrival and
@@ -209,7 +209,11 @@ fn stragglers_at(jobs: u32, factors: &[f64], node_counts: &[u16]) -> StragglerTa
             variant,
             factor,
             nodes,
-            run_traffic_faulted(&plan, nodes, RT_SEED, &faults),
+            run_traffic_on(
+                &plan,
+                MachineConfig::manna(nodes).with_faults(faults),
+                RT_SEED,
+            ),
         )
     });
     // Chaos variants: full defenses at the heaviest point, with the
@@ -225,7 +229,11 @@ fn stragglers_at(jobs: u32, factors: &[f64], node_counts: &[u16]) -> StragglerTa
         "defended_lossy",
         hi_f,
         hi_n,
-        run_traffic_faulted(&plan, hi_n, RT_SEED, &lossy),
+        run_traffic_on(
+            &plan,
+            MachineConfig::manna(hi_n).with_faults(lossy),
+            RT_SEED,
+        ),
     ));
     let crash_node = victims(hi_n).last().unwrap() + 1;
     let crashed = defended_plan(hi_n, hi_f).with_crash_restart(
@@ -237,7 +245,11 @@ fn stragglers_at(jobs: u32, factors: &[f64], node_counts: &[u16]) -> StragglerTa
         "defended_crashed",
         hi_f,
         hi_n,
-        run_traffic_faulted(&plan, hi_n, RT_SEED, &crashed),
+        run_traffic_on(
+            &plan,
+            MachineConfig::manna(hi_n).with_faults(crashed),
+            RT_SEED,
+        ),
     ));
     StragglerTable {
         jobs,

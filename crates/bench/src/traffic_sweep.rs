@@ -14,12 +14,10 @@
 //! `repro traffic --json` is a byte-identical, diffable artifact.
 
 use crate::workloads::par_map;
-use earth_machine::FaultPlan;
+use earth_machine::{FaultPlan, MachineConfig};
 use earth_sim::{VirtualDuration, VirtualTime};
 use earth_testkit::bench::{stats, Stats};
-use earth_traffic::{
-    run_traffic, run_traffic_crashed, run_traffic_faulted, ClassSummary, TrafficPlan, TrafficRun,
-};
+use earth_traffic::{run_traffic, run_traffic_on, ClassSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
 
 /// The stream seed every cell shares: within a column (same node count)
@@ -113,24 +111,23 @@ fn traffic_at(jobs: u32, loads: &[f64], nodes: &[u16]) -> TrafficTable {
     // on the biggest machine.
     let (hi_load, hi_n) = (*loads.last().unwrap(), *nodes.last().unwrap());
     let hi = plan(jobs, hi_load);
+    let lossy = MachineConfig::manna(hi_n).with_faults(FaultPlan::lossy());
     cells.push(cell(
         "lossy",
         hi_load,
         hi_n,
-        run_traffic_faulted(&hi, hi_n, RT_SEED, &FaultPlan::lossy()),
+        run_traffic_on(&hi, lossy, RT_SEED),
     ));
+    let crash = FaultPlan::new().with_crash_restart(
+        CRASH_NODE,
+        VirtualTime::from_ns(CRASH_DOWN_NS),
+        VirtualTime::from_ns(CRASH_UP_NS),
+    );
     cells.push(cell(
         "crashed",
         hi_load,
         hi_n,
-        run_traffic_crashed(
-            &hi,
-            hi_n,
-            RT_SEED,
-            CRASH_NODE,
-            VirtualTime::from_ns(CRASH_DOWN_NS),
-            Some(VirtualTime::from_ns(CRASH_UP_NS)),
-        ),
+        run_traffic_on(&hi, MachineConfig::manna(hi_n).with_faults(crash), RT_SEED),
     ));
     TrafficTable {
         jobs,

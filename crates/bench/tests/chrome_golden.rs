@@ -3,14 +3,15 @@
 //! exported traces are diffable artifacts and `repro profile --json`
 //! is reproducible.
 
+use earth_apps::eigen::{run_eigen_on, FetchMode};
 use earth_bench::chrome_trace_json;
 use earth_bench::workloads::{eigen_matrix, eigen_tol, Scale};
+use earth_rt::RunOpts;
 
 fn export_once() -> String {
     let m = eigen_matrix(Scale::Quick);
     let tol = eigen_tol(Scale::Quick);
-    let run =
-        earth_apps::eigen::run_eigen_profiled(&m, tol, 4, 42, earth_apps::eigen::FetchMode::Block);
+    let run = run_eigen_on(&m, tol, FetchMode::Block, RunOpts::manna(4, 42).profiled());
     chrome_trace_json(run.profile.as_ref().expect("profiled run"))
 }
 

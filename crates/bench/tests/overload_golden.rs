@@ -55,18 +55,18 @@ fn defended_runs_are_byte_identical_across_queue_kinds() {
         MachineConfig::manna(8).with_queue(QueueKind::Heap),
         42,
     );
-    let ladder = run_traffic_on(
+    let radix = run_traffic_on(
         &plan,
         MachineConfig::manna(8).with_queue(QueueKind::Radix),
         42,
     );
     assert_eq!(
-        heap.report.traffic, ladder.report.traffic,
+        heap.report.traffic, radix.report.traffic,
         "job records diverged between event-queue implementations"
     );
     assert_eq!(
         format!("{:?}", heap.report),
-        format!("{:?}", ladder.report),
+        format!("{:?}", radix.report),
         "full run reports diverged between event-queue implementations"
     );
     let t = heap.report.traffic.as_ref().unwrap();

@@ -7,11 +7,12 @@
 use earth_algebra::buchberger::SelectionStrategy;
 use earth_algebra::inputs::katsura;
 use earth_apps::eigen::{run_eigen, run_eigen_on, FetchMode};
-use earth_apps::groebner::{run_groebner, run_groebner_topo};
+use earth_apps::groebner::{run_groebner, run_groebner_on};
 use earth_apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_bench::experiments::{scale_smoke, scale_topologies};
 use earth_linalg::SymTridiagonal;
 use earth_machine::{MachineConfig, TopologyKind};
+use earth_rt::RunOpts;
 
 #[test]
 fn scale_json_is_byte_identical_across_invocations() {
@@ -53,9 +54,10 @@ fn explicit_crossbar_is_provably_free_for_every_app() {
     // 33 nodes: an uneven cluster split, so inter-cluster hops are hit.
     let n = 33;
     let m = SymTridiagonal::random_clustered(40, 2, 5);
+    let crossbar = MachineConfig::manna(n).with_topology(TopologyKind::Crossbar);
     let base = run_eigen(&m, 1e-6, n, 42, FetchMode::Block);
-    let cfg = MachineConfig::manna(n).with_topology(TopologyKind::Crossbar);
-    let explicit = run_eigen_on(&m, 1e-6, cfg, 42, FetchMode::Block);
+    let opts = RunOpts::new(crossbar.clone(), 42);
+    let explicit = run_eigen_on(&m, 1e-6, FetchMode::Block, opts);
     assert_eq!(base.eigenvalues, explicit.eigenvalues);
     assert_eq!(base.elapsed, explicit.elapsed);
     assert_eq!(
@@ -65,21 +67,15 @@ fn explicit_crossbar_is_provably_free_for_every_app() {
 
     let (ring, input) = katsura(3);
     let gbase = run_groebner(&ring, &input, n, 1, SelectionStrategy::Sugar, None);
-    let gexp = run_groebner_topo(
-        &ring,
-        &input,
-        n,
-        1,
-        SelectionStrategy::Sugar,
-        TopologyKind::Crossbar,
-    );
+    let opts = RunOpts::new(crossbar.clone(), 1);
+    let gexp = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts);
     assert_eq!(gbase.basis, gexp.basis);
     assert_eq!(gbase.elapsed, gexp.elapsed);
     assert_eq!(format!("{:?}", gbase.report), format!("{:?}", gexp.report));
 
     let nbase = run_neural(24, n, 1, 7, PassMode::Forward, CommsShape::Tree);
-    let ncfg = MachineConfig::manna(n).with_topology(TopologyKind::Crossbar);
-    let nexp = run_neural_on(ncfg, 24, 24, 24, 1, 7, PassMode::Forward, CommsShape::Tree);
+    let opts = RunOpts::new(crossbar, 7);
+    let nexp = run_neural_on(24, 24, 24, 1, PassMode::Forward, CommsShape::Tree, opts);
     assert_eq!(nbase.outputs, nexp.outputs);
     assert_eq!(nbase.elapsed, nexp.elapsed);
     assert_eq!(format!("{:?}", nbase.report), format!("{:?}", nexp.report));

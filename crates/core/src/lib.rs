@@ -74,6 +74,7 @@ pub mod frame;
 pub mod memory;
 pub mod msg;
 pub mod node;
+pub mod opts;
 pub mod payload;
 pub mod profile;
 pub(crate) mod recover;
@@ -89,6 +90,7 @@ pub use args::{ArgsReader, ArgsWriter};
 pub use ctx::Ctx;
 pub use frame::ThreadedFn;
 pub use msg::FuncId;
+pub use opts::RunOpts;
 pub use payload::Payload;
 pub use profile::{ClassCost, NodeProfile, RunProfile};
 pub use report::{NodeStats, RunReport};

@@ -32,7 +32,7 @@
 
 pub mod classes;
 
-use earth_machine::{FaultPlan, MachineConfig};
+use earth_machine::MachineConfig;
 use earth_rt::{NodeId, OverloadPolicy, RunReport, Runtime};
 use earth_sim::{
     bounded_pareto, nearest_rank, stream_word, unit_f64, word_bounded, VirtualDuration, VirtualTime,
@@ -354,42 +354,10 @@ pub fn run_traffic(plan: &TrafficPlan, nodes: u16, seed: u64) -> TrafficRun {
     run_traffic_on(plan, MachineConfig::manna(nodes), seed)
 }
 
-/// Run `plan` under an injected fault plan (drops, delays, crashes).
-pub fn run_traffic_faulted(
-    plan: &TrafficPlan,
-    nodes: u16,
-    seed: u64,
-    faults: &FaultPlan,
-) -> TrafficRun {
-    run_traffic_on(
-        plan,
-        MachineConfig::manna(nodes).with_faults(faults.clone()),
-        seed,
-    )
-}
-
-/// Run `plan` with node `victim` crash-stopped at `down` and — when `up`
-/// is given — restarted then; without `up` the failure detector triggers
-/// a failover restart. Queued jobs homed on the victim are re-routed to
-/// a live node at admission; in-flight work is replayed by the recovery
-/// plane, so the stream still drains.
-pub fn run_traffic_crashed(
-    plan: &TrafficPlan,
-    nodes: u16,
-    seed: u64,
-    victim: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> TrafficRun {
-    let faults = match up {
-        Some(up) => FaultPlan::new().with_crash_restart(victim, down, up),
-        None => FaultPlan::new().with_node_crash(victim, down),
-    };
-    run_traffic_faulted(plan, nodes, seed, &faults)
-}
-
-/// Lowest-level entry: run on a caller-supplied machine configuration
-/// (used by the queue-equivalence differential tests and ablations).
+/// Run `plan` on a caller-supplied machine, fault plan included. Under
+/// a crash, queued jobs homed on the victim are re-routed to a live node
+/// at admission and in-flight work is replayed by the recovery plane, so
+/// the stream still drains.
 pub fn run_traffic_on(plan: &TrafficPlan, cfg: MachineConfig, seed: u64) -> TrafficRun {
     let mut rt = Runtime::new(cfg, seed);
     plan.install(&mut rt);
@@ -453,6 +421,7 @@ pub fn summarize(report: &TrafficReport) -> Vec<ClassSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earth_machine::FaultPlan;
     use earth_sim::VirtualDuration;
 
     #[test]
@@ -548,14 +517,12 @@ mod tests {
     #[test]
     fn crashed_run_still_drains() {
         let plan = TrafficPlan::new(23).with_jobs(32);
-        let run = run_traffic_crashed(
-            &plan,
-            8,
-            4,
+        let crash = FaultPlan::new().with_crash_restart(
             2,
             VirtualTime::from_ns(2_000_000),
-            Some(VirtualTime::from_ns(6_000_000)),
+            VirtualTime::from_ns(6_000_000),
         );
+        let run = run_traffic_on(&plan, MachineConfig::manna(8).with_faults(crash), 4);
         let t = run.traffic();
         assert_eq!(t.completed, 32);
         assert!(t.is_conserved());

@@ -17,11 +17,12 @@
 
 use earth_manna::algebra::buchberger::{reduce_basis, SelectionStrategy};
 use earth_manna::algebra::inputs::katsura;
-use earth_manna::apps::eigen::{run_eigen, run_eigen_crashed, FetchMode};
-use earth_manna::apps::groebner::{run_groebner, run_groebner_crashed};
-use earth_manna::apps::neural::{run_neural, run_neural_crashed, CommsShape, PassMode};
+use earth_manna::apps::eigen::{run_eigen, run_eigen_on, FetchMode};
+use earth_manna::apps::groebner::{run_groebner, run_groebner_on};
+use earth_manna::apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
-use earth_manna::rt::RunReport;
+use earth_manna::machine::{FaultPlan, MachineConfig};
+use earth_manna::rt::{RunOpts, RunReport};
 use earth_manna::sim::{VirtualDuration, VirtualTime};
 
 const NODES: u16 = 20;
@@ -44,6 +45,11 @@ fn banner(app: &str, mode: &str, clean: &RunReport, crashed: &RunReport) {
     );
 }
 
+/// A `NODES`-node MANNA running under `plan`.
+fn chaos(plan: FaultPlan, seed: u64) -> RunOpts {
+    RunOpts::new(MachineConfig::manna(NODES).with_faults(plan), seed)
+}
+
 fn main() {
     println!("chaos smoke: one node crash-stopped mid-run, {NODES} nodes\n");
 
@@ -51,7 +57,8 @@ fn main() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let clean = run_eigen(&m, 1e-6, NODES, 42, FetchMode::Block);
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
-    let crashed = run_eigen_crashed(&m, 1e-6, NODES, 42, FetchMode::Block, 3, half, None);
+    let failover = FaultPlan::new().with_node_crash(3, half);
+    let crashed = run_eigen_on(&m, 1e-6, FetchMode::Block, chaos(failover, 42));
     assert_eq!(
         clean.eigenvalues, crashed.eigenvalues,
         "eigen: failover changed the eigenvalues"
@@ -60,7 +67,8 @@ fn main() {
 
     // Eigenvalue bisection — scheduled crash + restart.
     let up = half + VirtualDuration::from_us(3_000);
-    let restarted = run_eigen_crashed(&m, 1e-6, NODES, 42, FetchMode::Block, 3, half, Some(up));
+    let restart = FaultPlan::new().with_crash_restart(3, half, up);
+    let restarted = run_eigen_on(&m, 1e-6, FetchMode::Block, chaos(restart, 42));
     assert_eq!(
         clean.eigenvalues, restarted.eigenvalues,
         "eigen: restart changed the eigenvalues"
@@ -71,16 +79,8 @@ fn main() {
     let (ring, input) = katsura(3);
     let clean = run_groebner(&ring, &input, NODES, 1, SelectionStrategy::Sugar, None);
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
-    let crashed = run_groebner_crashed(
-        &ring,
-        &input,
-        NODES,
-        1,
-        SelectionStrategy::Sugar,
-        5,
-        half,
-        None,
-    );
+    let failover = chaos(FaultPlan::new().with_node_crash(5, half), 1);
+    let crashed = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, failover);
     assert_eq!(
         reduce_basis(&ring, &clean.basis),
         reduce_basis(&ring, &crashed.basis),
@@ -99,16 +99,15 @@ fn main() {
     );
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
     let up = half + VirtualDuration::from_us(2_000);
-    let crashed = run_neural_crashed(
+    let restart = chaos(FaultPlan::new().with_crash_restart(7, half, up), 21);
+    let crashed = run_neural_on(
         24,
-        NODES,
+        24,
+        24,
         2,
-        21,
         PassMode::ForwardBackward,
         CommsShape::Tree,
-        7,
-        half,
-        Some(up),
+        restart,
     );
     assert_eq!(
         clean.outputs, crashed.outputs,

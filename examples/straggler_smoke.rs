@@ -15,9 +15,9 @@
 //! trips, quarantines them off the steal and home-routing paths,
 //! evacuates their queued tokens, and goodput holds.
 
-use earth_manna::machine::FaultPlan;
+use earth_manna::machine::{FaultPlan, MachineConfig};
 use earth_manna::sim::{VirtualDuration, VirtualTime};
-use earth_manna::traffic::{run_traffic_faulted, TrafficPlan};
+use earth_manna::traffic::{run_traffic_on, TrafficPlan, TrafficRun};
 
 const NODES: u16 = 8;
 const SEED: u64 = 42;
@@ -44,19 +44,28 @@ fn injection() -> FaultPlan {
     })
 }
 
+/// The stream on a `NODES`-node MANNA running under `faults`.
+fn run(faults: FaultPlan) -> TrafficRun {
+    run_traffic_on(
+        &stream(),
+        MachineConfig::manna(NODES).with_faults(faults),
+        SEED,
+    )
+}
+
 fn main() {
     println!(
         "straggler smoke: 48 jobs at 2000/s on {NODES} nodes, \
          nodes {VICTIMS:?} running {FACTOR}x slow"
     );
 
-    let naive = run_traffic_faulted(&stream(), NODES, SEED, &injection());
+    let naive = run(injection());
     let defended_plan = injection()
         .with_slow_detector(3.0, 3)
         .with_hedging(6.0)
         .with_quarantine(VirtualDuration::from_us(20_000))
         .with_speculative_rehoming();
-    let defended = run_traffic_faulted(&stream(), NODES, SEED, &defended_plan);
+    let defended = run(defended_plan.clone());
 
     for (label, run) in [("naive", &naive), ("defended", &defended)] {
         let t = run.traffic();
@@ -97,7 +106,7 @@ fn main() {
     );
 
     // Replay determinism, hedges and quarantine probes included.
-    let again = run_traffic_faulted(&stream(), NODES, SEED, &defended_plan);
+    let again = run(defended_plan);
     assert_eq!(
         defended.report.traffic, again.report.traffic,
         "replay diverged"

@@ -26,6 +26,9 @@ cargo run --release --offline --example chaos_smoke >/dev/null
 echo "== format =="
 cargo fmt --check
 
+echo "== rustdoc (deny warnings: broken intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== bench smoke (1 iteration per benchmark) =="
 TESTKIT_BENCH_SMOKE=1 cargo bench --offline --workspace >/dev/null
 

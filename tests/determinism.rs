@@ -5,10 +5,11 @@
 
 use earth_manna::algebra::buchberger::SelectionStrategy;
 use earth_manna::algebra::inputs::katsura;
-use earth_manna::apps::eigen::{run_eigen, FetchMode};
-use earth_manna::apps::groebner::run_groebner;
-use earth_manna::apps::neural::{run_neural, CommsShape, PassMode};
+use earth_manna::apps::eigen::{run_eigen, run_eigen_on, FetchMode};
+use earth_manna::apps::groebner::{run_groebner, run_groebner_on};
+use earth_manna::apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
+use earth_manna::rt::RunOpts;
 
 #[test]
 fn eigen_trace_is_reproducible() {
@@ -108,6 +109,68 @@ fn identical_runs_have_identical_reports() {
         assert_eq!(x.busy, y.busy);
         assert_eq!(x.tokens_run, y.tokens_run);
     }
+}
+
+/// The same run with earth-profile collection off and on.
+fn unprofiled_and_profiled(nodes: u16, seed: u64) -> [RunOpts; 2] {
+    [false, true].map(|profile| RunOpts {
+        profile,
+        ..RunOpts::manna(nodes, seed)
+    })
+}
+
+#[test]
+fn eigen_profiling_is_free() {
+    let m = SymTridiagonal::random_clustered(40, 3, 7);
+    let [plain, profiled] = unprofiled_and_profiled(8, 42)
+        .map(|opts| run_eigen_on(&m, 1e-6, FetchMode::Individual, opts));
+    assert!(plain.profile.is_none());
+    assert_eq!(profiled.profile.as_ref().map(|p| p.nodes.len()), Some(8));
+    assert_eq!(plain.eigenvalues, profiled.eigenvalues);
+    assert_eq!(plain.elapsed, profiled.elapsed);
+    assert_eq!(
+        format!("{:?}", plain.report),
+        format!("{:?}", profiled.report)
+    );
+}
+
+#[test]
+fn groebner_profiling_is_free() {
+    let (ring, input) = katsura(3);
+    let [plain, profiled] = unprofiled_and_profiled(5, 3)
+        .map(|opts| run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts));
+    assert!(plain.profile.is_none());
+    assert_eq!(profiled.profile.as_ref().map(|p| p.nodes.len()), Some(5));
+    assert_eq!(plain.basis, profiled.basis);
+    assert_eq!(plain.pairs_reduced, profiled.pairs_reduced);
+    assert_eq!(plain.elapsed, profiled.elapsed);
+    assert_eq!(
+        format!("{:?}", plain.report),
+        format!("{:?}", profiled.report)
+    );
+}
+
+#[test]
+fn neural_profiling_is_free() {
+    let [plain, profiled] = unprofiled_and_profiled(8, 11).map(|opts| {
+        run_neural_on(
+            40,
+            40,
+            40,
+            2,
+            PassMode::ForwardBackward,
+            CommsShape::Tree,
+            opts,
+        )
+    });
+    assert!(plain.profile.is_none());
+    assert_eq!(profiled.profile.as_ref().map(|p| p.nodes.len()), Some(8));
+    assert_eq!(plain.outputs, profiled.outputs);
+    assert_eq!(plain.elapsed, profiled.elapsed);
+    assert_eq!(
+        format!("{:?}", plain.report),
+        format!("{:?}", profiled.report)
+    );
 }
 
 mod generated_determinism {

@@ -6,19 +6,28 @@
 
 use earth_manna::algebra::buchberger::{reduce_basis, SelectionStrategy};
 use earth_manna::algebra::inputs::katsura;
-use earth_manna::apps::eigen::{run_eigen, run_eigen_crashed, run_eigen_faulted, FetchMode};
-use earth_manna::apps::groebner::{run_groebner, run_groebner_crashed, run_groebner_faulted};
-use earth_manna::apps::neural::{
-    run_neural, run_neural_crashed, run_neural_faulted, CommsShape, PassMode,
-};
+use earth_manna::apps::eigen::{run_eigen, run_eigen_on, FetchMode};
+use earth_manna::apps::groebner::{run_groebner, run_groebner_on};
+use earth_manna::apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
-use earth_manna::machine::FaultPlan;
+use earth_manna::machine::{FaultPlan, MachineConfig};
+use earth_manna::rt::RunOpts;
+
+/// A `nodes`-node MANNA running under `plan`.
+fn under(plan: FaultPlan, nodes: u16, seed: u64) -> RunOpts {
+    RunOpts::new(MachineConfig::manna(nodes).with_faults(plan), seed)
+}
 
 #[test]
 fn eigen_bit_identical_under_lossy_network() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let clean = run_eigen(&m, 1e-6, 20, 42, FetchMode::Block);
-    let faulted = run_eigen_faulted(&m, 1e-6, 20, 42, FetchMode::Block, &FaultPlan::lossy());
+    let faulted = run_eigen_on(
+        &m,
+        1e-6,
+        FetchMode::Block,
+        under(FaultPlan::lossy(), 20, 42),
+    );
     assert!(
         faulted.report.net_dropped > 0,
         "plan never fired; acceptance run is vacuous"
@@ -34,14 +43,8 @@ fn eigen_bit_identical_under_lossy_network() {
 fn groebner_same_reduced_basis_under_lossy_network() {
     let (ring, input) = katsura(3);
     let clean = run_groebner(&ring, &input, 20, 1, SelectionStrategy::Sugar, None);
-    let faulted = run_groebner_faulted(
-        &ring,
-        &input,
-        20,
-        1,
-        SelectionStrategy::Sugar,
-        &FaultPlan::lossy(),
-    );
+    let lossy = under(FaultPlan::lossy(), 20, 1);
+    let faulted = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, lossy);
     assert!(faulted.report.net_dropped > 0);
     assert_eq!(
         reduce_basis(&ring, &clean.basis),
@@ -53,14 +56,14 @@ fn groebner_same_reduced_basis_under_lossy_network() {
 #[test]
 fn neural_outputs_bit_identical_under_lossy_network() {
     let clean = run_neural(24, 20, 2, 21, PassMode::ForwardBackward, CommsShape::Tree);
-    let faulted = run_neural_faulted(
+    let faulted = run_neural_on(
         24,
-        20,
+        24,
+        24,
         2,
-        21,
         PassMode::ForwardBackward,
         CommsShape::Tree,
-        &FaultPlan::lossy(),
+        under(FaultPlan::lossy(), 20, 21),
     );
     assert!(faulted.report.net_dropped > 0);
     assert_eq!(clean.outputs, faulted.outputs);
@@ -69,8 +72,15 @@ fn neural_outputs_bit_identical_under_lossy_network() {
 #[test]
 fn faulted_runs_are_seed_deterministic() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
-    let a = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &FaultPlan::lossy());
-    let b = run_eigen_faulted(&m, 1e-6, 20, 9, FetchMode::Individual, &FaultPlan::lossy());
+    let run = || {
+        run_eigen_on(
+            &m,
+            1e-6,
+            FetchMode::Individual,
+            under(FaultPlan::lossy(), 20, 9),
+        )
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.eigenvalues, b.eigenvalues);
     assert_eq!(
         format!("{:?}", a.report),
@@ -87,7 +97,7 @@ fn none_plan_is_byte_identical_to_no_fault_plane() {
     // run, byte for byte.
     let m = SymTridiagonal::random_clustered(30, 2, 3);
     let plain = run_eigen(&m, 1e-6, 8, 5, FetchMode::Block);
-    let none = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &FaultPlan::none());
+    let none = run_eigen_on(&m, 1e-6, FetchMode::Block, under(FaultPlan::none(), 8, 5));
     assert_eq!(plain.eigenvalues, none.eigenvalues);
     assert_eq!(format!("{:?}", plain.report), format!("{:?}", none.report));
     assert_eq!(format!("{}", plain.report), format!("{}", none.report));
@@ -97,7 +107,7 @@ fn none_plan_is_byte_identical_to_no_fault_plane() {
 fn faults_show_up_in_report_display_only_when_firing() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
     let clean = run_eigen(&m, 1e-6, 8, 5, FetchMode::Block);
-    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &FaultPlan::lossy());
+    let faulted = run_eigen_on(&m, 1e-6, FetchMode::Block, under(FaultPlan::lossy(), 8, 5));
     assert!(!format!("{}", clean.report).contains("faults:"));
     let shown = format!("{}", faulted.report);
     assert!(shown.contains("faults:"), "{shown}");
@@ -108,7 +118,6 @@ fn faults_show_up_in_report_display_only_when_firing() {
 // Crash-stop windows: the checkpoint/recovery plane
 // ---------------------------------------------------------------------------
 
-use earth_manna::machine::MachineConfig;
 use earth_manna::rt::{ArgsReader, ArgsWriter, Ctx, Runtime, ThreadId, ThreadedFn};
 use earth_manna::sim::{VirtualDuration, VirtualTime};
 use earth_testkit::domain::crash_plan;
@@ -120,7 +129,8 @@ fn eigen_bit_identical_with_node_crashed_mid_run() {
     let clean = run_eigen(&m, 1e-6, 20, 42, FetchMode::Block);
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
     // Failover: no scheduled restart — the detector drives recovery.
-    let failover = run_eigen_crashed(&m, 1e-6, 20, 42, FetchMode::Block, 3, half, None);
+    let plan = FaultPlan::new().with_node_crash(3, half);
+    let failover = run_eigen_on(&m, 1e-6, FetchMode::Block, under(plan, 20, 42));
     assert_eq!(failover.report.total_crashes(), 1);
     assert_eq!(failover.report.total_recoveries(), 1);
     assert!(failover.report.total_heartbeats() > 0, "detector never ran");
@@ -131,7 +141,8 @@ fn eigen_bit_identical_with_node_crashed_mid_run() {
     assert!(failover.elapsed > clean.elapsed, "surviving is never free");
     // Scheduled restart at a fixed later instant.
     let up = half + VirtualDuration::from_us(3_000);
-    let restarted = run_eigen_crashed(&m, 1e-6, 20, 42, FetchMode::Block, 3, half, Some(up));
+    let plan = FaultPlan::new().with_crash_restart(3, half, up);
+    let restarted = run_eigen_on(&m, 1e-6, FetchMode::Block, under(plan, 20, 42));
     assert_eq!(clean.eigenvalues, restarted.eigenvalues);
     assert_eq!(restarted.report.total_recoveries(), 1);
 }
@@ -141,16 +152,8 @@ fn groebner_same_reduced_basis_with_node_crashed() {
     let (ring, input) = katsura(3);
     let clean = run_groebner(&ring, &input, 20, 1, SelectionStrategy::Sugar, None);
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
-    let crashed = run_groebner_crashed(
-        &ring,
-        &input,
-        20,
-        1,
-        SelectionStrategy::Sugar,
-        5,
-        half,
-        None,
-    );
+    let failover = under(FaultPlan::new().with_node_crash(5, half), 20, 1);
+    let crashed = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, failover);
     assert_eq!(crashed.report.total_crashes(), 1);
     assert_eq!(
         reduce_basis(&ring, &clean.basis),
@@ -164,16 +167,14 @@ fn neural_outputs_bit_identical_with_crash_restart() {
     let clean = run_neural(24, 20, 2, 21, PassMode::ForwardBackward, CommsShape::Tree);
     let half = VirtualTime::ZERO + clean.report.elapsed / 2;
     let up = half + VirtualDuration::from_us(2_000);
-    let crashed = run_neural_crashed(
+    let crashed = run_neural_on(
         24,
-        20,
+        24,
+        24,
         2,
-        21,
         PassMode::ForwardBackward,
         CommsShape::Tree,
-        7,
-        half,
-        Some(up),
+        under(FaultPlan::new().with_crash_restart(7, half, up), 20, 21),
     );
     assert_eq!(crashed.report.total_crashes(), 1);
     assert_eq!(clean.outputs, crashed.outputs);
@@ -190,7 +191,7 @@ fn checkpoint_interval_only_affects_elapsed_never_results() {
             let plan = FaultPlan::new()
                 .with_node_crash(2, half)
                 .with_checkpoint_every(VirtualDuration::from_us(ck));
-            run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &plan)
+            run_eigen_on(&m, 1e-6, FetchMode::Block, under(plan, 8, 5))
         })
         .collect();
     for r in &runs {
@@ -209,7 +210,7 @@ fn checkpoint_interval_only_affects_elapsed_never_results() {
 #[test]
 fn crash_free_plans_never_touch_the_crash_machinery() {
     let m = SymTridiagonal::random_clustered(30, 2, 3);
-    let faulted = run_eigen_faulted(&m, 1e-6, 8, 5, FetchMode::Block, &FaultPlan::lossy());
+    let faulted = run_eigen_on(&m, 1e-6, FetchMode::Block, under(FaultPlan::lossy(), 8, 5));
     let r = &faulted.report;
     assert_eq!(r.total_crashes() + r.total_recoveries(), 0);
     assert_eq!(r.total_heartbeats() + r.total_checkpoints(), 0);

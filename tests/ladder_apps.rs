@@ -9,10 +9,11 @@
 use earth_manna::algebra::buchberger::SelectionStrategy;
 use earth_manna::algebra::inputs::katsura;
 use earth_manna::apps::eigen::{run_eigen_on, FetchMode};
-use earth_manna::apps::groebner::run_groebner_queued;
+use earth_manna::apps::groebner::run_groebner_on;
 use earth_manna::apps::neural::{run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
 use earth_manna::machine::{FaultPlan, MachineConfig, QueueKind};
+use earth_manna::rt::RunOpts;
 use earth_manna::sim::VirtualTime;
 use earth_manna::traffic::{run_traffic_on, TrafficPlan};
 
@@ -28,8 +29,8 @@ fn cfg_pair(nodes: u16) -> (MachineConfig, MachineConfig) {
 fn eigen_reports_identical_across_queue_kinds() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let (heap_cfg, radix_cfg) = cfg_pair(20);
-    let heap = run_eigen_on(&m, 1e-6, heap_cfg, 42, FetchMode::Block);
-    let radix = run_eigen_on(&m, 1e-6, radix_cfg, 42, FetchMode::Block);
+    let heap = run_eigen_on(&m, 1e-6, FetchMode::Block, RunOpts::new(heap_cfg, 42));
+    let radix = run_eigen_on(&m, 1e-6, FetchMode::Block, RunOpts::new(radix_cfg, 42));
     assert_eq!(heap.eigenvalues, radix.eigenvalues);
     assert_eq!(
         format!("{:?}", heap.report),
@@ -42,20 +43,11 @@ fn eigen_reports_identical_across_queue_kinds() {
 fn eigen_reports_identical_across_queue_kinds_under_faults() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let (heap_cfg, radix_cfg) = cfg_pair(20);
-    let heap = run_eigen_on(
-        &m,
-        1e-6,
-        heap_cfg.with_faults(FaultPlan::lossy()),
-        42,
-        FetchMode::Individual,
-    );
-    let radix = run_eigen_on(
-        &m,
-        1e-6,
-        radix_cfg.with_faults(FaultPlan::lossy()),
-        42,
-        FetchMode::Individual,
-    );
+    let run = |cfg: MachineConfig| {
+        let opts = RunOpts::new(cfg.with_faults(FaultPlan::lossy()), 42);
+        run_eigen_on(&m, 1e-6, FetchMode::Individual, opts)
+    };
+    let (heap, radix) = (run(heap_cfg), run(radix_cfg));
     assert!(
         heap.report.net_dropped > 0,
         "plan never fired; equivalence run is vacuous"
@@ -70,14 +62,11 @@ fn eigen_reports_identical_across_queue_kinds_with_crash() {
     // densest event traffic the runtime generates.
     let plan = FaultPlan::new().with_node_crash(3, VirtualTime::from_ns(400_000_000));
     let (heap_cfg, radix_cfg) = cfg_pair(20);
-    let heap = run_eigen_on(
-        &m,
-        1e-6,
-        heap_cfg.with_faults(plan.clone()),
-        42,
-        FetchMode::Block,
-    );
-    let radix = run_eigen_on(&m, 1e-6, radix_cfg.with_faults(plan), 42, FetchMode::Block);
+    let run = |cfg: MachineConfig| {
+        let opts = RunOpts::new(cfg.with_faults(plan.clone()), 42);
+        run_eigen_on(&m, 1e-6, FetchMode::Block, opts)
+    };
+    let (heap, radix) = (run(heap_cfg), run(radix_cfg));
     assert_eq!(heap.report.total_crashes(), 1, "the crash never fired");
     assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
 }
@@ -85,31 +74,19 @@ fn eigen_reports_identical_across_queue_kinds_with_crash() {
 #[test]
 fn groebner_reports_identical_across_queue_kinds() {
     let (ring, input) = katsura(3);
-    for plan in [None, Some(FaultPlan::lossy())] {
-        let heap = run_groebner_queued(
-            &ring,
-            &input,
-            20,
-            1,
-            SelectionStrategy::Sugar,
-            plan.as_ref(),
-            QueueKind::Heap,
-        );
-        let radix = run_groebner_queued(
-            &ring,
-            &input,
-            20,
-            1,
-            SelectionStrategy::Sugar,
-            plan.as_ref(),
-            QueueKind::Radix,
-        );
+    for plan in [FaultPlan::none(), FaultPlan::lossy()] {
+        let run = |queue| {
+            let cfg = MachineConfig::manna(20).with_queue(queue);
+            let opts = RunOpts::new(cfg.with_faults(plan.clone()), 1);
+            run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts)
+        };
+        let (heap, radix) = (run(QueueKind::Heap), run(QueueKind::Radix));
         assert_eq!(heap.basis, radix.basis);
         assert_eq!(
             format!("{:?}", heap.report),
             format!("{:?}", radix.report),
             "plan {:?} diverged across queue kinds",
-            plan.is_some()
+            !plan.is_trivial()
         );
     }
 }
@@ -117,27 +94,12 @@ fn groebner_reports_identical_across_queue_kinds() {
 #[test]
 fn neural_reports_identical_across_queue_kinds() {
     for shape in [CommsShape::Sequential, CommsShape::Tree] {
+        let run = |cfg: MachineConfig| {
+            let opts = RunOpts::new(cfg.with_faults(FaultPlan::lossy()), 21);
+            run_neural_on(24, 24, 24, 2, PassMode::ForwardBackward, shape, opts)
+        };
         let (heap_cfg, radix_cfg) = cfg_pair(20);
-        let heap = run_neural_on(
-            heap_cfg.with_faults(FaultPlan::lossy()),
-            24,
-            24,
-            24,
-            2,
-            21,
-            PassMode::ForwardBackward,
-            shape,
-        );
-        let radix = run_neural_on(
-            radix_cfg.with_faults(FaultPlan::lossy()),
-            24,
-            24,
-            24,
-            2,
-            21,
-            PassMode::ForwardBackward,
-            shape,
-        );
+        let (heap, radix) = (run(heap_cfg), run(radix_cfg));
         assert_eq!(heap.outputs, radix.outputs);
         assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
     }
@@ -201,11 +163,12 @@ fn queue_throughput_probe() {
         for _ in 0..reps {
             let cfg = MachineConfig::manna(20).with_queue(kind);
             let t = std::time::Instant::now();
-            let r = run_eigen_on(&m, 1e-6, cfg, 42, FetchMode::Block);
+            let r = run_eigen_on(&m, 1e-6, FetchMode::Block, RunOpts::new(cfg, 42));
             eigen_best = eigen_best.min(t.elapsed().as_secs_f64() * 1e3);
             assert!(r.report.events > 0);
             let t = std::time::Instant::now();
-            let g = run_groebner_queued(&ring, &input, 20, 1, SelectionStrategy::Sugar, None, kind);
+            let opts = RunOpts::new(MachineConfig::manna(20).with_queue(kind), 1);
+            let g = run_groebner_on(&ring, &input, SelectionStrategy::Sugar, opts);
             grob_best = grob_best.min(t.elapsed().as_secs_f64() * 1e3);
             assert!(g.report.events > 0);
             let cfg = MachineConfig::manna(256).with_queue(kind);
@@ -225,8 +188,8 @@ fn queue_throughput_probe() {
 fn peak_queue_depth_is_populated_and_queue_invariant() {
     let m = SymTridiagonal::random_clustered(40, 3, 7);
     let (heap_cfg, radix_cfg) = cfg_pair(20);
-    let heap = run_eigen_on(&m, 1e-6, heap_cfg, 42, FetchMode::Block);
-    let radix = run_eigen_on(&m, 1e-6, radix_cfg, 42, FetchMode::Block);
+    let heap = run_eigen_on(&m, 1e-6, FetchMode::Block, RunOpts::new(heap_cfg, 42));
+    let radix = run_eigen_on(&m, 1e-6, FetchMode::Block, RunOpts::new(radix_cfg, 42));
     assert!(heap.report.peak_queue_depth > 0, "depth never observed");
     assert_eq!(heap.report.peak_queue_depth, radix.report.peak_queue_depth);
     // The depth is an observation, not part of the stable textual report.

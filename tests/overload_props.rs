@@ -76,7 +76,7 @@ props! {
         prop_assert_eq!(by_tenant, slo.jobs);
     }
 
-    /// The heap and ladder event queues must drive byte-identical
+    /// The heap and radix event queues must drive byte-identical
     /// overload runs — retries and sheds are scheduled events like any
     /// other, so queue choice can never leak into outcomes.
     #[test]
@@ -90,13 +90,13 @@ props! {
             MachineConfig::manna(nodes).with_queue(QueueKind::Heap),
             seed,
         );
-        let ladder = run_traffic_on(
+        let radix = run_traffic_on(
             &plan,
             MachineConfig::manna(nodes).with_queue(QueueKind::Radix),
             seed,
         );
-        prop_assert_eq!(heap.report.traffic.as_ref(), ladder.report.traffic.as_ref());
-        prop_assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
+        prop_assert_eq!(heap.report.traffic.as_ref(), radix.report.traffic.as_ref());
+        prop_assert_eq!(format!("{:?}", heap.report), format!("{:?}", radix.report));
     }
 
     /// "Disabled == absent", knob edition: a knob-free plan runs the
