@@ -76,8 +76,15 @@ impl Node {
         }
     }
 
-    /// True when the node has nothing runnable of its own.
-    pub(crate) fn is_workless(&self) -> bool {
-        self.ready.is_empty() && self.tokens.is_empty() && self.pending.is_empty()
+    /// True when an idle poll should wake the node: its processor is free,
+    /// no wake is queued, no steal is outstanding, and it has nothing
+    /// runnable of its own. `Runtime::poke_idle` wakes exactly these nodes.
+    pub(crate) fn is_pokeable(&self) -> bool {
+        !self.busy
+            && !self.wake_pending
+            && !self.stealing
+            && self.ready.is_empty()
+            && self.tokens.is_empty()
+            && self.pending.is_empty()
     }
 }

@@ -141,6 +141,12 @@ pub struct Runtime {
     /// O(holders) instead of scanning all nodes. `steal_victims_scan`
     /// is the property-tested reference.
     token_holders: Vec<u16>,
+    /// Idle-poll wake set: one bit per node, a superset of the nodes
+    /// `poke_idle` must wake (`Node::is_pokeable`). Only `poke_idle`
+    /// clears bits; `wake` and `rehome_tokens`, the two places a node can
+    /// become pokeable, set them. `idle_scan` is the property-tested
+    /// reference.
+    idle_set: Vec<u64>,
     /// Scratch buffer for the periodic probe/checkpoint ticks' live-node
     /// snapshot (crash plans only), reused across rounds.
     tick_scratch: Vec<u16>,
@@ -150,6 +156,12 @@ impl Runtime {
     /// A runtime over `cfg` with all randomness derived from `seed`.
     pub fn new(cfg: MachineConfig, seed: u64) -> Self {
         let mut master = Rng::new(seed);
+        // Every node starts idle: one set bit per node, none past the end.
+        let n = cfg.nodes as usize;
+        let mut idle_set = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            idle_set[n / 64] = (1 << (n % 64)) - 1;
+        }
         let nodes = (0..cfg.nodes)
             .map(|i| Node::new(NODE_MEMORY, master.fork(i as u64)))
             .collect();
@@ -206,6 +218,7 @@ impl Runtime {
             steal_scratch: Vec::new(),
             retr_scratch: Vec::new(),
             token_holders: Vec::new(),
+            idle_set,
             tick_scratch: Vec::new(),
         }
     }
@@ -527,22 +540,27 @@ impl Runtime {
                 "runaway simulation: {} events processed",
                 self.processed
             );
-            match ev {
-                Event::Deliver(node, msg, cp, env) => self.deliver(t, node, msg, cp, env),
-                Event::Wake(node) => self.wake(t, node),
-                Event::RetryCheck(node) => self.retry_check(t, node),
-                Event::Crash(i) => self.crash_node(t, i),
-                Event::Recover(i) => self.recover_node(t, i),
-                Event::ProbeTick => self.probe_tick(t),
-                Event::CkptTick => self.ckpt_tick(t),
-                Event::DetectCheck { monitor, sent } => self.detect_check(t, monitor, sent),
-                Event::JobArrive(k) => self.job_arrive(t, k),
-                Event::JobDone(k) => self.job_done_at(t, k),
-                Event::JobRetry(k) => self.job_retry(t, k),
-                Event::HedgeCheck { node, dst, seq } => self.hedge_check(t, node, dst, seq),
-            }
+            self.dispatch(t, ev);
         }
         self.report()
+    }
+
+    /// Process one popped event.
+    fn dispatch(&mut self, t: VirtualTime, ev: Event) {
+        match ev {
+            Event::Deliver(node, msg, cp, env) => self.deliver(t, node, msg, cp, env),
+            Event::Wake(node) => self.wake(t, node),
+            Event::RetryCheck(node) => self.retry_check(t, node),
+            Event::Crash(i) => self.crash_node(t, i),
+            Event::Recover(i) => self.recover_node(t, i),
+            Event::ProbeTick => self.probe_tick(t),
+            Event::CkptTick => self.ckpt_tick(t),
+            Event::DetectCheck { monitor, sent } => self.detect_check(t, monitor, sent),
+            Event::JobArrive(k) => self.job_arrive(t, k),
+            Event::JobDone(k) => self.job_done_at(t, k),
+            Event::JobRetry(k) => self.job_retry(t, k),
+            Event::HedgeCheck { node, dst, seq } => self.hedge_check(t, node, dst, seq),
+        }
     }
 
     fn report(&self) -> RunReport {
@@ -1064,6 +1082,9 @@ impl Runtime {
         if orphans.is_empty() {
             return;
         }
+        // The only queue drain outside the node's own round: an otherwise
+        // idle target becomes pokeable here.
+        self.mark_idle(target.index());
         let rec = self.recover.as_ref();
         let mut survivors: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| {
@@ -1122,6 +1143,12 @@ impl Runtime {
             n.busy = false;
         }
         self.schedule(t, node);
+        // Only a round clears `busy`, `wake_pending` and `stealing` or
+        // drains the node's own queues, so a node that ends it unpokeable
+        // stays so until its next round (or a `rehome_tokens` drain).
+        if self.nodes[node.index()].is_pokeable() {
+            self.mark_idle(node.index());
+        }
     }
 
     /// One scheduling round: poll, then run one thread / token, or steal.
@@ -1430,13 +1457,48 @@ impl Runtime {
         if !self.stealing_enabled || self.global_tokens == 0 {
             return;
         }
-        for i in 0..self.nodes.len() {
-            let n = &mut self.nodes[i];
-            if !n.busy && !n.wake_pending && !n.stealing && n.is_workless() {
-                n.wake_pending = true;
-                self.events.push(at, Event::Wake(NodeId(i as u16)));
+        // The set is a superset of the pokeable nodes and each word is
+        // walked in ascending bit order, so this pushes the same wakes in
+        // the same order (hence the same seq numbers) as the full scan.
+        // Every visited bit is cleared: a poked node is now wake_pending,
+        // and an unpokeable one can only turn pokeable where its bit is
+        // set again.
+        for w in 0..self.idle_set.len() {
+            let mut bits = std::mem::take(&mut self.idle_set[w]);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let n = &mut self.nodes[i];
+                if n.is_pokeable() {
+                    n.wake_pending = true;
+                    self.events.push(at, Event::Wake(NodeId(i as u16)));
+                }
             }
         }
+        // The walk woke only pokeable nodes, each now wake_pending; so the
+        // reference scan comes back empty exactly when the walk woke every
+        // node the full scan would have.
+        debug_assert_eq!(
+            self.idle_scan(),
+            [],
+            "idle wake set missed a node the reference scan pokes"
+        );
+    }
+
+    /// Put node `idx` back into the idle-poll wake set.
+    fn mark_idle(&mut self, idx: usize) {
+        self.idle_set[idx / 64] |= 1 << (idx % 64);
+    }
+
+    /// Reference idle-poll enumeration: the original full O(nodes) scan,
+    /// the twin of `steal_victims_scan`. `poke_idle` asserts its indexed
+    /// walk against this in debug builds, and the property suite drives
+    /// the two through randomized runtime paths.
+    fn idle_scan(&self) -> Vec<NodeId> {
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].is_pokeable())
+            .map(|i| NodeId(i as u16))
+            .collect()
     }
 
     pub(crate) fn instantiate(&mut self, node: NodeId, func: FuncId, args: &[u8]) -> FrameId {
@@ -1722,8 +1784,167 @@ mod tests {
         }
     }
 
+    /// A token body that spawns `depth` more generations through
+    /// `Ctx::token`, so scheduled rounds also exercise the in-round poke.
+    /// It is the test runtime's first registered function, `FuncId(0)`.
+    struct Spawn {
+        depth: u8,
+    }
+
+    impl ThreadedFn for Spawn {
+        fn run(&mut self, ctx: &mut Ctx<'_>, _tid: ThreadId) {
+            ctx.compute(VirtualDuration::from_us(1));
+            if self.depth > 0 {
+                ctx.token(FuncId(0), &[self.depth - 1][..]);
+            }
+            ctx.end();
+        }
+    }
+
+    /// True when node `i`'s bit is set in the idle-poll wake set.
+    fn in_idle_set(rt: &Runtime, i: usize) -> bool {
+        rt.idle_set[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Poke idle nodes and return the nodes the poke woke, in index order.
+    fn poke(rt: &mut Runtime, at: VirtualTime) -> Vec<NodeId> {
+        let before: Vec<bool> = rt.nodes.iter().map(|n| n.wake_pending).collect();
+        rt.poke_idle(at);
+        (0..rt.nodes.len())
+            .filter(|&i| !before[i] && rt.nodes[i].wake_pending)
+            .map(|i| NodeId(i as u16))
+            .collect()
+    }
+
+    /// Queue one token on `target` while it is otherwise idle, let a poke
+    /// drop it from the idle set, then run `rehome` — which must drain the
+    /// queue outside the target's own round. The next poke must wake the
+    /// target, exactly as the reference scan would.
+    fn rehomed_node_is_poked(mut rt: Runtime, target: NodeId, rehome: impl FnOnce(&mut Runtime)) {
+        let i = target.index();
+        rt.nodes[i].tokens.push_back(dummy_token());
+        rt.sync_token_index(i);
+        rt.global_tokens += 1;
+        let woke = poke(&mut rt, VirtualTime::ZERO);
+        assert!(!woke.contains(&target), "a token holder is not idle");
+        assert!(!in_idle_set(&rt, i), "the poke cleared the holder's bit");
+        rehome(&mut rt);
+        assert!(rt.nodes[i].tokens.is_empty(), "tokens were re-homed");
+        let scan = rt.idle_scan();
+        assert_eq!(scan, [target]);
+        assert_eq!(poke(&mut rt, VirtualTime::ZERO), scan);
+        assert!(rt.idle_scan().is_empty());
+    }
+
+    #[test]
+    fn crash_detect_rehome_makes_target_pokeable() {
+        let plan = FaultPlan::new().with_node_crash(0, VirtualTime::from_ns(1_000_000_000));
+        let rt = Runtime::new(MachineConfig::manna(4).with_faults(plan), 7);
+        let monitor = NodeId(1);
+        let target = rt.recover.as_ref().unwrap().target_of(monitor.index());
+        rehomed_node_is_poked(rt, target, |rt| {
+            rt.detect_check(VirtualTime::ZERO, monitor, VirtualTime::ZERO);
+            assert!(rt.recover.as_ref().unwrap().suspected_dead[target.index()]);
+        });
+    }
+
+    #[test]
+    fn quarantine_rehome_makes_target_pokeable() {
+        let plan = FaultPlan::new()
+            .with_slow_detector(2.0, 1)
+            .with_speculative_rehoming();
+        let rt = Runtime::new(MachineConfig::manna(4).with_faults(plan), 7);
+        let (monitor, target) = (NodeId(0), NodeId(3));
+        rehomed_node_is_poked(rt, target, |rt| {
+            // The monitor acks one message from each peer: two on time,
+            // then one from the target 100x late — the detector's
+            // quarantine verdict speculatively re-homes its backlog.
+            for (peer, lateness) in [(1, 1), (2, 1), (3, 100)] {
+                rt.transmit(
+                    VirtualTime::ZERO,
+                    monitor,
+                    NodeId(peer),
+                    Msg::StealNack,
+                    VirtualDuration::ZERO,
+                );
+                let unacked = &rt.reli.as_ref().unwrap().unacked[monitor.index()];
+                let (&(_, seq), p) = unacked.iter().find(|(k, _)| k.0 == peer).unwrap();
+                let arrived = p.sent + p.expected_rtt * lateness;
+                let ack = Msg::Ack {
+                    from: NodeId(peer),
+                    seq,
+                };
+                rt.handle_msg(arrived, monitor, ack, VirtualDuration::ZERO, arrived);
+            }
+            assert_eq!(rt.nodes[target.index()].stats.quarantines, 1);
+            assert_eq!(rt.nodes[target.index()].stats.speculated, 1);
+        });
+    }
+
     props! {
         #![config(Config::with_cases(40))]
+
+        #[test]
+        fn idle_index_matches_reference_scan(
+            nodes in 2u16..130,
+            seed in any::<u64>(),
+            ops in collection::vec((any::<u16>(), 0u8..7), 1..200),
+        ) {
+            let mut rt = Runtime::new(MachineConfig::manna(nodes), seed);
+            rt.register("spawn", |a| Box::new(Spawn { depth: a.u8() }));
+            let mut now = VirtualTime::ZERO;
+            for &(raw, kind) in &ops {
+                let i = (raw % nodes) as usize;
+                let node = NodeId(i as u16);
+                match kind {
+                    // A token arrives: its round pushes it, may answer a
+                    // steal (clearing `stealing`) and pokes.
+                    0 => {
+                        rt.global_tokens += 1;
+                        let args = Payload::from(&[(raw >> 8) as u8 % 3][..]);
+                        let msg = Msg::Token { func: FuncId(0), args };
+                        rt.deliver(now, node, msg, VirtualDuration::ZERO, None);
+                    }
+                    // The event loop advances: rounds poll, pop tokens, run
+                    // threads, send steal requests (setting `stealing`),
+                    // and answer them with tokens or nacks.
+                    1 | 2 => {
+                        for _ in 0..raw % 64 {
+                            let Some((t, ev)) = rt.events.pop() else { break };
+                            now = t;
+                            rt.dispatch(t, ev);
+                        }
+                    }
+                    // A thread queues a token on its node and pokes.
+                    3 => {
+                        rt.nodes[i].tokens.push_back(Token {
+                            args: Payload::from(&[0][..]),
+                            ..dummy_token()
+                        });
+                        rt.sync_token_index(i);
+                        rt.global_tokens += 1;
+                        rt.poke_idle(now);
+                    }
+                    // Another node re-homes this one's queued tokens.
+                    4 => {
+                        let monitor = NodeId(((i + 1) % nodes as usize) as u16);
+                        rt.rehome_tokens(now, monitor, node, raw & 1 == 1);
+                    }
+                    // The load-balancing switch flips.
+                    5 => rt.set_stealing(!rt.stealing_enabled),
+                    // An idle poll wakes exactly the scan's nodes.
+                    _ => {
+                        let armed = rt.stealing_enabled && rt.global_tokens > 0;
+                        let scan = if armed { rt.idle_scan() } else { Vec::new() };
+                        prop_assert_eq!(poke(&mut rt, now), scan);
+                    }
+                }
+                // The set is a superset of the pokeable nodes.
+                for j in 0..nodes as usize {
+                    prop_assert!(!rt.nodes[j].is_pokeable() || in_idle_set(&rt, j));
+                }
+            }
+        }
 
         #[test]
         fn token_holder_index_matches_reference_scan(

@@ -39,9 +39,10 @@ cargo run --release --offline -p earth-bench --bin repro -- \
 echo "== benchmark tests (every workload through its oracle at smoke size, BENCHMARK.json drift check) =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== event-queue equivalence (radix queue vs reference heap) =="
+echo "== scan-free index equivalence (radix queue vs reference heap, token-holder and idle-set indexes vs reference scans) =="
 cargo test -q --offline -p earth-sim --test queue_diff
-cargo test -q --offline --test ladder_apps
+cargo test -q --offline --test queue_apps
+cargo test -q --offline -p earth-rt --lib index_matches_reference_scan
 
 # Smoke sweeps, each run twice: the reruns must be byte-identical and
 # carry every listed schema landmark. Fields: experiment|title|grep
