@@ -7,7 +7,7 @@ use earth_machine::{MachineConfig, NodeId};
 use earth_msgpass::{MpCtx, MpWorld, Process};
 use earth_rt::{ArgsWriter, Ctx, Runtime, SlotId, ThreadId, ThreadedFn};
 use earth_sim::VirtualDuration;
-use earth_testkit::bench::{BatchSize, Bench};
+use earth_testkit::bench::Bench;
 
 /// Ping-pong over EARTH split-phase stores.
 struct Pinger {
@@ -126,7 +126,6 @@ fn bench_load_balancer(c: &mut Bench) {
                     rt
                 },
                 |mut rt| rt.run(),
-                BatchSize::SmallInput,
             )
         });
     }
@@ -171,7 +170,6 @@ fn bench_split_phase(c: &mut Bench) {
                 rt
             },
             |mut rt| rt.run(),
-            BatchSize::SmallInput,
         )
     });
 }

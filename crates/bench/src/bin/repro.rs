@@ -1,12 +1,17 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [--json] [table1|fig2|table2|fig4|fig5|table3|fig7|fig8|ablation|dual|profile|faults|crashes|scale|traffic|overload|stragglers|bench|all]
+//! repro [--quick] [--json] [--smoke] [table1|fig2|table2|fig4|fig5|table3|fig7|fig8|ablation|dual|profile|faults|crashes|scale|traffic|overload|stragglers|all]
 //! ```
 //!
 //! `--quick` shrinks matrices and seed counts (same shapes, CI speed).
 //! `--json` emits one machine-readable JSON record per experiment
-//! instead of the text tables.
+//! instead of the text tables (`dual` always prints text).
+//! `--smoke` shrinks the `scale`, `traffic`, `overload` and
+//! `stragglers` sweeps to CI size. No name, or `all`, runs the paper's
+//! experiments `table1` through `dual`. Experiments run in the order
+//! above, whatever the order of the arguments. An unknown name or flag
+//! prints the usage line to stderr and exits with status 2.
 //!
 //! `profile` (not part of `all`) runs the earth-profile demo: the
 //! overhead breakdown and utilization timeline for seeded eigenvalue
@@ -22,13 +27,6 @@
 //! workload with one node crash-stopped at a grid of crash times ×
 //! checkpoint intervals, with the checkpoint/recovery plane keeping
 //! every cell's results bit-identical to the fault-free baseline.
-//!
-//! `bench` (not part of `all`) runs the performance-baseline sweeps over
-//! every application variant and prints the `BENCH_<date>.json` document
-//! (regenerate the committed baseline with `repro --json bench`).
-//! `--smoke` shrinks the workloads to CI size; `--check-schema FILE`
-//! additionally validates that `FILE`'s schema matches the emitted
-//! document, exiting nonzero on drift.
 //!
 //! `scale` (not part of `all`) runs the topology scale sweep:
 //! speedup-vs-nodes curves for all three applications across the four
@@ -60,164 +58,153 @@
 
 use earth_bench::*;
 
+/// Text table or JSON record, whichever `--json` asks for.
+trait Show {
+    fn show(&self, json: bool) -> String;
+}
+
+macro_rules! show_via_methods {
+    ($($t:ty),*) => {$(
+        impl Show for $t {
+            fn show(&self, json: bool) -> String {
+                if json { self.to_json() } else { self.render() }
+            }
+        }
+    )*};
+}
+
+show_via_methods!(
+    Table1,
+    Fig2,
+    Table2,
+    Table3,
+    CommsAblation,
+    ProfileDemo,
+    FaultsTable,
+    CrashesTable,
+    ScaleTable,
+    TrafficTable,
+    OverloadTable,
+    StragglerTable
+);
+
+fn groebner(json: bool, experiment: &str, title: &str, curves: &[GroebnerCurve]) -> String {
+    if json {
+        groebner_curves_to_json(experiment, curves)
+    } else {
+        render_groebner_curves(title, curves)
+    }
+}
+
+fn neural(json: bool, experiment: &str, title: &str, curves: &[NeuralCurve]) -> String {
+    if json {
+        neural_curves_to_json(experiment, curves)
+    } else {
+        render_neural_curves(title, curves)
+    }
+}
+
+/// The CI-size variant of a sweep under `--smoke`, the full one otherwise.
+fn sized<T>(smoke: bool, small: fn() -> T, full: fn() -> T) -> T {
+    if smoke {
+        small()
+    } else {
+        full()
+    }
+}
+
+/// How one experiment runs and prints, given `(scale, smoke, json)`.
+type Run = fn(Scale, bool, bool) -> String;
+
+/// Every experiment, in the order they run and print:
+/// `(name, whether all includes it, run)`. The experiments left out of
+/// `all` are demos and sweeps whose value is their stable, seed-exact
+/// output, not paper reproduction.
+const EXPERIMENTS: &[(&str, bool, Run)] = &[
+    ("table1", true, |s, _, j| table1(s).show(j)),
+    ("fig2", true, |s, _, j| fig2(s).show(j)),
+    ("table2", true, |_, _, j| table2().show(j)),
+    ("fig4", true, |s, _, j| {
+        let title = "Figure 4: Groebner speedups, EARTH (paper limits: ~9@11 Lazard, ~12@12 K4, ~12.5@14 K5)";
+        groebner(j, "fig4", title, &fig4(s))
+    }),
+    ("fig5", true, |s, _, j| {
+        let title = "Figure 5: Groebner speedups under message-passing overheads (paper: EARTH scales, 300-1000us collapse except coarse-grained Katsura-5)";
+        groebner(j, "fig5", title, &fig5(s))
+    }),
+    ("table3", true, |s, _, j| table3(s).show(j)),
+    ("fig7", true, |s, _, j| {
+        let title = "Figure 7: NN forward-only speedups (paper: 11@16 for 80u, 17@20 for 200u)";
+        neural(j, "fig7", title, &fig7(s))
+    }),
+    ("fig8", true, |s, _, j| {
+        let title =
+            "Figure 8: NN forward+backward speedups (paper: 10@16 for 80u, 14.5@20 for 200u)";
+        neural(j, "fig8", title, &fig8(s))
+    }),
+    ("ablation", true, |s, _, j| comms_ablation(s).show(j)),
+    ("dual", true, |s, _, _| dual_check(s).render()),
+    ("profile", false, |_, _, j| profile_demo().show(j)),
+    ("faults", false, |_, _, j| faults_table().show(j)),
+    ("crashes", false, |_, _, j| crashes_table().show(j)),
+    ("scale", false, |_, smoke, j| {
+        sized(smoke, scale_smoke, scale_table).show(j)
+    }),
+    ("traffic", false, |_, smoke, j| {
+        sized(smoke, traffic_smoke, traffic_table).show(j)
+    }),
+    ("overload", false, |_, smoke, j| {
+        sized(smoke, overload_smoke, overload_table).show(j)
+    }),
+    ("stragglers", false, |_, smoke, j| {
+        sized(smoke, stragglers_smoke, stragglers_table).show(j)
+    }),
+];
+
+const FLAGS: [&str; 3] = ["--quick", "--json", "--smoke"];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, ..)| name).collect();
+    let in_all: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|&&(_, in_all, _)| in_all)
+        .map(|&(name, ..)| name)
+        .collect();
+    format!(
+        "usage: repro [{}] [{}|all]\n  no name or `all` runs: {}",
+        FLAGS.join("] ["),
+        names.join("|"),
+        in_all.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let what: Vec<&str> = args
+    let (flags, names): (Vec<&str>, Vec<&str>) = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.as_str())
-        .collect();
-    let all = what.is_empty() || what.contains(&"all");
-    let want = |name: &str| all || what.contains(&name);
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    let known = |n: &&str| *n == "all" || EXPERIMENTS.iter().any(|&(name, ..)| name == *n);
+    let bad_flag = flags.iter().find(|f| !FLAGS.contains(f));
+    if let Some(bad) = bad_flag.or_else(|| names.iter().find(|n| !known(n))) {
+        eprintln!("repro: unknown argument `{bad}`\n{}", usage());
+        std::process::exit(2);
+    }
+    let scale = if flags.contains(&"--quick") {
+        Scale::Quick
+    } else {
+        Scale::Paper
+    };
+    let json = flags.contains(&"--json");
+    let smoke = flags.contains(&"--smoke");
+    let all = names.is_empty() || names.contains(&"all");
 
     if !json {
         println!("=== EARTH-MANNA reproduction ({:?} scale) ===\n", scale);
     }
-
-    if want("table1") {
-        let t = table1(scale);
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig2") {
-        let f = fig2(scale);
-        println!("{}", if json { f.to_json() } else { f.render() });
-    }
-    if want("table2") {
-        let t = table2();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig4") {
-        let curves = fig4(scale);
-        if json {
-            println!("{}", groebner_curves_to_json("fig4", &curves));
-        } else {
-            println!(
-                "{}",
-                render_groebner_curves(
-                    "Figure 4: Groebner speedups, EARTH (paper limits: ~9@11 Lazard, ~12@12 K4, ~12.5@14 K5)",
-                    &curves
-                )
-            );
+    for &(name, in_all, run) in EXPERIMENTS {
+        if (all && in_all) || names.contains(&name) {
+            println!("{}", run(scale, smoke, json));
         }
-    }
-    if want("fig5") {
-        let curves = fig5(scale);
-        if json {
-            println!("{}", groebner_curves_to_json("fig5", &curves));
-        } else {
-            println!(
-                "{}",
-                render_groebner_curves(
-                    "Figure 5: Groebner speedups under message-passing overheads (paper: EARTH scales, 300-1000us collapse except coarse-grained Katsura-5)",
-                    &curves
-                )
-            );
-        }
-    }
-    if want("table3") {
-        let t = table3(scale);
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig7") {
-        let curves = fig7(scale);
-        if json {
-            println!("{}", neural_curves_to_json("fig7", &curves));
-        } else {
-            println!(
-                "{}",
-                render_neural_curves(
-                    "Figure 7: NN forward-only speedups (paper: 11@16 for 80u, 17@20 for 200u)",
-                    &curves
-                )
-            );
-        }
-    }
-    if want("fig8") {
-        let curves = fig8(scale);
-        if json {
-            println!("{}", neural_curves_to_json("fig8", &curves));
-        } else {
-            println!(
-                "{}",
-                render_neural_curves(
-                    "Figure 8: NN forward+backward speedups (paper: 10@16 for 80u, 14.5@20 for 200u)",
-                    &curves
-                )
-            );
-        }
-    }
-    if want("ablation") {
-        let a = comms_ablation(scale);
-        println!("{}", if json { a.to_json() } else { a.render() });
-    }
-    if want("dual") {
-        println!("{}", dual_check(scale).render());
-    }
-    // Deliberately excluded from `all`: the demo's value is its stable,
-    // seed-exact output, not paper reproduction.
-    if what.contains(&"profile") {
-        let d = profile_demo();
-        println!("{}", if json { d.to_json() } else { d.render() });
-    }
-    if what.contains(&"faults") {
-        let t = faults_table();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"crashes") {
-        let t = crashes_table();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"scale") {
-        let t = if smoke { scale_smoke() } else { scale_table() };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"traffic") {
-        let t = if smoke {
-            traffic_smoke()
-        } else {
-            traffic_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"overload") {
-        let t = if smoke {
-            overload_smoke()
-        } else {
-            overload_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"stragglers") {
-        let t = if smoke {
-            stragglers_smoke()
-        } else {
-            stragglers_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"bench") {
-        let doc = sweeps_to_json(&run_sweeps(smoke));
-        if let Some(pos) = args.iter().position(|a| a == "--check-schema") {
-            let path = args
-                .get(pos + 1)
-                .expect("--check-schema needs a file argument");
-            let committed =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            let want = schema_signature(committed.trim())
-                .unwrap_or_else(|e| panic!("{path} is not valid baseline JSON: {e}"));
-            let got = schema_signature(&doc).expect("emitter produced invalid JSON");
-            if want != got {
-                eprintln!("bench schema drift: {path} does not match the emitter");
-                eprintln!("  committed: {want}");
-                eprintln!("  emitted:   {got}");
-                std::process::exit(1);
-            }
-            eprintln!("bench schema OK against {path}");
-        }
-        println!("{doc}");
     }
 }

@@ -1,4 +1,6 @@
-//! A criterion-style micro-benchmark runner with no dependencies.
+//! A micro-benchmark runner with no dependencies, for kernel-level
+//! benches: `earth-bench`'s `eigen` and `primitives` targets. Whole
+//! workloads are timed by the `perfbench` workspace instead.
 //!
 //! Each benchmark runs a warmup, then `sample_size` timed iterations,
 //! and reports mean/median/stddev/min/max. Results go to stderr as a
@@ -12,18 +14,6 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// How `iter_batched` amortizes setup; accepted for criterion-shape
-/// compatibility (every batch is one iteration here).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
-}
 
 /// Summary statistics of one benchmark's samples, in nanoseconds.
 #[derive(Clone, Debug, PartialEq)]
@@ -229,24 +219,8 @@ impl Bencher {
         }
     }
 
-    /// Record caller-measured durations: `f` runs the workload itself
-    /// and returns the nanoseconds to attribute to that sample (e.g. the
-    /// timed hot loop of a larger routine). Warmup calls are made but
-    /// their returns are discarded.
-    pub fn iter_custom<F>(&mut self, mut f: F)
-    where
-        F: FnMut() -> f64,
-    {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        for _ in 0..self.samples_target {
-            self.samples_ns.push(f());
-        }
-    }
-
     /// Time `routine` over fresh `setup` outputs, excluding setup time.
-    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
+    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F)
     where
         S: FnMut() -> I,
         F: FnMut(I) -> R,
@@ -342,29 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_custom_excludes_warmup_samples() {
-        let mut bench = Bench::new(false);
-        let mut calls = 0u32;
-        let st = bench.bench_function("custom_probe", |b| {
-            b.iter_custom(|| {
-                calls += 1;
-                // Warmup calls (the first 10) report a wild outlier; if
-                // any leaked into the samples the mean could not be 10.
-                if calls <= 10 {
-                    1000.0
-                } else {
-                    10.0
-                }
-            });
-        });
-        assert_eq!(calls, 70, "10 warmup calls + 60 samples");
-        assert_eq!(st.n, 60);
-        assert_eq!(st.mean_ns, 10.0, "warmup values leaked into samples");
-        assert_eq!(st.p95_ns, 10.0);
-        assert_eq!(st.p99_ns, 10.0);
-    }
-
-    #[test]
     fn json_record_is_wellformed() {
         let st = stats(&[2.0, 4.0]);
         let j = st.to_json("group/case");
@@ -388,7 +339,7 @@ mod tests {
     fn iter_batched_times_only_the_routine() {
         let mut bench = Bench::new(true);
         let st = bench.bench_function("batched_probe", |b| {
-            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput);
+            b.iter_batched(|| vec![1u8; 64], |v| v.len());
         });
         assert_eq!(st.n, 1);
         assert!(st.mean_ns >= 0.0);

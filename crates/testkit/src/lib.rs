@@ -35,6 +35,12 @@
 //!
 //! ## Benchmarks
 //!
+//! [`mod@bench`] is a small warmup/sample runner for kernel-level
+//! micro-benches: `earth-bench`'s `eigen` (Sturm counts and bisection)
+//! and `primitives` (EARTH vs message-passing primitive costs). Host
+//! speed of whole workloads is measured by the `perfbench` workspace,
+//! not here.
+//!
 //! ```no_run
 //! use earth_testkit::bench::Bench;
 //!

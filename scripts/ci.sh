@@ -13,15 +13,14 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Every example runs once, chaos_smoke included (a mid-run node crash
+# per app vs the fault-free golden).
 echo "== example smoke (release) =="
 for ex in examples/*.rs; do
     name="$(basename "$ex" .rs)"
     echo "-- example: $name"
     cargo run --release --offline --example "$name" >/dev/null
 done
-
-echo "== chaos smoke (mid-run node crash per app vs fault-free golden) =="
-cargo run --release --offline --example chaos_smoke >/dev/null
 
 echo "== format =="
 cargo fmt --check
@@ -31,10 +30,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== bench smoke (1 iteration per benchmark) =="
 TESTKIT_BENCH_SMOKE=1 cargo bench --offline --workspace >/dev/null
-
-echo "== perf-baseline smoke (schema check against the committed BENCH json) =="
-cargo run --release --offline -p earth-bench --bin repro -- \
-    bench --smoke --check-schema BENCH_2026-08-07.json >/dev/null
 
 echo "== benchmark tests (every workload through its oracle at smoke size, BENCHMARK.json drift check) =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
