@@ -38,7 +38,16 @@ pub(crate) enum Event {
     /// dependency chain behind it (critical-path accounting) and, under a
     /// fault plan, the reliability envelope it travelled with.
     Deliver(NodeId, Msg, VirtualDuration, Option<Envelope>),
+    /// Run one scheduling round on the node: pushed by a message
+    /// arrival, a round's end, a pause window's end, a recovery replay,
+    /// a due retransmit, or an idle poll that woke just this node.
     Wake(NodeId),
+    /// An idle poll's wakes, one queue entry for all of them: slot `k`
+    /// of `Runtime::wake_batches` lists the woken nodes in ascending
+    /// order, and each runs its `Wake` round in that order. Every member
+    /// counts as one processed event and, until its round starts, as one
+    /// pending event in `peak_queue_depth`.
+    WakeBatch(u32),
     /// A retransmission deadline on one of `NodeId`'s unacked messages
     /// may have passed; wake it if it is idle (fault plans only).
     RetryCheck(NodeId),
@@ -57,10 +66,7 @@ pub(crate) enum Event {
     CkptTick,
     /// The suspicion alarm for one probe `monitor` sent at `sent`: if no
     /// ack from its target has arrived since, declare the target crashed.
-    DetectCheck {
-        monitor: NodeId,
-        sent: VirtualTime,
-    },
+    DetectCheck { monitor: NodeId, sent: VirtualTime },
     /// Job `k` of the installed traffic plan reaches the admission
     /// front-end (traffic plans only; armed at install like the crash
     /// plane, so arrival instants are fixed before execution starts).
@@ -81,11 +87,7 @@ pub(crate) enum Event {
     /// the first transmission is still unacked and untouched by the
     /// timeout retransmitter, re-send the same envelope now instead of
     /// waiting out the full deadline (straggler defenses only).
-    HedgeCheck {
-        node: NodeId,
-        dst: u16,
-        seq: u64,
-    },
+    HedgeCheck { node: NodeId, dst: u16, seq: u64 },
 }
 
 type Ctor = Box<dyn Fn(&mut ArgsReader<'_>) -> Box<dyn ThreadedFn>>;
@@ -147,6 +149,14 @@ pub struct Runtime {
     /// become pokeable, set them. `idle_scan` is the property-tested
     /// reference.
     idle_set: Vec<u64>,
+    /// Member lists of the queued `WakeBatch` events, indexed by slot;
+    /// a drained slot keeps its capacity and goes on `free_batches`.
+    wake_batches: Vec<Vec<u16>>,
+    free_batches: Vec<u32>,
+    /// Reference path for the property suite: one `Wake` per poked node
+    /// and a full round for every wake, as before batching.
+    #[cfg(test)]
+    per_wake_reference: bool,
     /// Scratch buffer for the periodic probe/checkpoint ticks' live-node
     /// snapshot (crash plans only), reused across rounds.
     tick_scratch: Vec<u16>,
@@ -219,6 +229,10 @@ impl Runtime {
             retr_scratch: Vec::new(),
             token_holders: Vec::new(),
             idle_set,
+            wake_batches: Vec::new(),
+            free_batches: Vec::new(),
+            #[cfg(test)]
+            per_wake_reference: false,
             tick_scratch: Vec::new(),
         }
     }
@@ -534,15 +548,20 @@ impl Runtime {
     /// Run to quiescence and report.
     pub fn run(&mut self) -> RunReport {
         while let Some((t, ev)) = self.events.pop() {
-            self.processed += 1;
-            assert!(
-                self.processed <= self.max_events,
-                "runaway simulation: {} events processed",
-                self.processed
-            );
+            self.count_event();
             self.dispatch(t, ev);
         }
         self.report()
+    }
+
+    /// Count one processed event against the runaway guard.
+    fn count_event(&mut self) {
+        self.processed += 1;
+        assert!(
+            self.processed <= self.max_events,
+            "runaway simulation: {} events processed",
+            self.processed
+        );
     }
 
     /// Process one popped event.
@@ -550,6 +569,7 @@ impl Runtime {
         match ev {
             Event::Deliver(node, msg, cp, env) => self.deliver(t, node, msg, cp, env),
             Event::Wake(node) => self.wake(t, node),
+            Event::WakeBatch(slot) => self.wake_batch(t, slot),
             Event::RetryCheck(node) => self.retry_check(t, node),
             Event::Crash(i) => self.crash_node(t, i),
             Event::Recover(i) => self.recover_node(t, i),
@@ -1137,12 +1157,21 @@ impl Runtime {
     }
 
     fn wake(&mut self, t: VirtualTime, node: NodeId) {
-        {
-            let n = &mut self.nodes[node.index()];
-            n.wake_pending = false;
-            n.busy = false;
+        let n = &mut self.nodes[node.index()];
+        n.wake_pending = false;
+        n.busy = false;
+        // Fruitless-wake short cut: with nothing to poll, run or steal,
+        // and no fault plan (whose pause, slow and crash planes act on
+        // every round), the round would charge nothing, push nothing and
+        // record only zero-length spans, so skipping it is exact.
+        let fruitless = self.reli.is_none()
+            && n.pending.is_empty()
+            && n.ready.is_empty()
+            && n.tokens.is_empty()
+            && !self.should_steal(t, node);
+        if !fruitless || self.per_wake_reference() {
+            self.schedule(t, node);
         }
-        self.schedule(t, node);
         // Only a round clears `busy`, `wake_pending` and `stealing` or
         // drains the node's own queues, so a node that ends it unpokeable
         // stays so until its next round (or a `rehome_tokens` drain).
@@ -1457,12 +1486,16 @@ impl Runtime {
         if !self.stealing_enabled || self.global_tokens == 0 {
             return;
         }
+        let slot = self.free_batches.pop().unwrap_or_else(|| {
+            self.wake_batches.push(Vec::new());
+            u32::try_from(self.wake_batches.len() - 1).expect("fewer than 2^32 queued batches")
+        });
+        let mut woken = std::mem::take(&mut self.wake_batches[slot as usize]);
         // The set is a superset of the pokeable nodes and each word is
-        // walked in ascending bit order, so this pushes the same wakes in
-        // the same order (hence the same seq numbers) as the full scan.
-        // Every visited bit is cleared: a poked node is now wake_pending,
-        // and an unpokeable one can only turn pokeable where its bit is
-        // set again.
+        // walked in ascending bit order, so this wakes the same nodes in
+        // the same order as the full scan. Every visited bit is cleared:
+        // a poked node is now wake_pending, and an unpokeable one can
+        // only turn pokeable where its bit is set again.
         for w in 0..self.idle_set.len() {
             let mut bits = std::mem::take(&mut self.idle_set[w]);
             while bits != 0 {
@@ -1471,10 +1504,27 @@ impl Runtime {
                 let n = &mut self.nodes[i];
                 if n.is_pokeable() {
                     n.wake_pending = true;
-                    self.events.push(at, Event::Wake(NodeId(i as u16)));
+                    woken.push(i as u16);
                 }
             }
         }
+        // One queue entry for the whole poke. Its wakes would take
+        // consecutive seq numbers at one instant, so nothing could pop
+        // between them, and whatever a member's round pushes pops after
+        // them all: running the members back to back when the batch pops
+        // is the per-`Wake` order exactly. The held members keep
+        // `peak_queue_depth` at the per-`Wake` depth.
+        if woken.len() > 1 && !self.per_wake_reference() {
+            self.events.push(at, Event::WakeBatch(slot));
+            self.events.hold(woken.len() - 1);
+        } else {
+            for &i in &woken {
+                self.events.push(at, Event::Wake(NodeId(i)));
+            }
+            woken.clear();
+            self.free_batches.push(slot);
+        }
+        self.wake_batches[slot as usize] = woken;
         // The walk woke only pokeable nodes, each now wake_pending; so the
         // reference scan comes back empty exactly when the walk woke every
         // node the full scan would have.
@@ -1483,6 +1533,32 @@ impl Runtime {
             [],
             "idle wake set missed a node the reference scan pokes"
         );
+    }
+
+    /// Run an idle poll's batched wakes in ascending node order. The
+    /// event loop counted the first member when it popped the batch;
+    /// each later one is counted, and released from the queue's held
+    /// depth, as it starts, just as its own `Wake` would have been.
+    fn wake_batch(&mut self, t: VirtualTime, slot: u32) {
+        let mut woken = std::mem::take(&mut self.wake_batches[slot as usize]);
+        for (k, &i) in woken.iter().enumerate() {
+            if k > 0 {
+                self.events.release();
+                self.count_event();
+            }
+            self.wake(t, NodeId(i));
+        }
+        woken.clear();
+        self.wake_batches[slot as usize] = woken;
+        self.free_batches.push(slot);
+    }
+
+    /// Whether the property suite's per-`Wake` reference path is on.
+    fn per_wake_reference(&self) -> bool {
+        #[cfg(test)]
+        return self.per_wake_reference;
+        #[cfg(not(test))]
+        false
     }
 
     /// Put node `idx` back into the idle-poll wake set.
@@ -1770,6 +1846,8 @@ impl Runtime {
 mod tests {
     use super::*;
     use earth_machine::FaultPlan;
+    use earth_sim::QueueKind;
+    use earth_testkit::domain::{crash_plan, fault_plan, slow_plan};
     use earth_testkit::prelude::*;
 
     /// Drive the token-holder index through randomized queue mutations and
@@ -1784,20 +1862,85 @@ mod tests {
         }
     }
 
-    /// A token body that spawns `depth` more generations through
-    /// `Ctx::token`, so scheduled rounds also exercise the in-round poke.
-    /// It is the test runtime's first registered function, `FuncId(0)`.
+    /// A token body that spawns `depth` more generations of `fan`
+    /// tokens each through `Ctx::token` (args `[depth, fan]`), so
+    /// scheduled rounds also exercise the in-round poke. It is the test
+    /// runtime's first registered function, `FuncId(0)`.
     struct Spawn {
         depth: u8,
+        fan: u8,
     }
 
     impl ThreadedFn for Spawn {
         fn run(&mut self, ctx: &mut Ctx<'_>, _tid: ThreadId) {
             ctx.compute(VirtualDuration::from_us(1));
             if self.depth > 0 {
-                ctx.token(FuncId(0), &[self.depth - 1][..]);
+                for _ in 0..self.fan {
+                    ctx.token(FuncId(0), &[self.depth - 1, self.fan][..]);
+                }
             }
             ctx.end();
+        }
+    }
+
+    /// A runtime over `cfg` with `Spawn` registered, on the batched wake
+    /// path or the per-`Wake` reference path.
+    fn spawn_runtime(cfg: MachineConfig, seed: u64, reference: bool) -> Runtime {
+        let mut rt = Runtime::new(cfg, seed);
+        rt.per_wake_reference = reference;
+        rt.register("spawn", |a| {
+            Box::new(Spawn {
+                depth: a.u8(),
+                fan: a.u8(),
+            })
+        });
+        rt
+    }
+
+    /// The panic message of `rt.run()` and the report of the state it
+    /// stopped in, or `None` if it ran to the end.
+    fn run_panic(mut rt: Runtime) -> Option<(String, String)> {
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.run()));
+        let msg = res
+            .err()?
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".into());
+        Some((msg, format!("{:?}", rt.report())))
+    }
+
+    #[test]
+    fn wake_batch_runaway_guard_matches_reference() {
+        let cfg = MachineConfig::manna(8);
+        let start = |rt: &mut Runtime| rt.inject_token_on(NodeId(0), FuncId(0), &[2, 2][..]);
+        // Find the first batch and the processed count at which it pops.
+        let mut rt = spawn_runtime(cfg.clone(), 3, false);
+        start(&mut rt);
+        let (at, members) = loop {
+            let (t, ev) = rt.events.pop().expect("the run pokes a batch");
+            rt.count_event();
+            if let Event::WakeBatch(slot) = ev {
+                break (rt.processed, rt.wake_batches[slot as usize].len() as u64);
+            }
+            rt.dispatch(t, ev);
+        };
+        assert!(
+            members >= 3,
+            "a batch of {members} cannot hold the limit inside"
+        );
+        // Limits on the batch, inside it and on its last member: each
+        // trips on the same event, with the same message and in the same
+        // state, on both paths.
+        for max in [at, at + 1, at + members - 2] {
+            let [batched, reference] = [false, true].map(|reference| {
+                let mut rt = spawn_runtime(cfg.clone(), 3, reference);
+                start(&mut rt);
+                rt.set_max_events(max);
+                run_panic(rt).expect("the limit falls inside the run")
+            });
+            let want = format!("runaway simulation: {} events processed", max + 1);
+            assert_eq!(batched.0, want, "limit {max}");
+            assert_eq!(batched, reference, "limit {max}");
         }
     }
 
@@ -1885,13 +2028,43 @@ mod tests {
         #![config(Config::with_cases(40))]
 
         #[test]
+        fn wake_batch_matches_per_wake_reference(
+            nodes in 2u16..130,
+            seed in any::<u64>(),
+            roots in collection::vec((any::<u16>(), 0u8..7, 1u8..3), 1..6),
+            stealing in any::<bool>(),
+            heap in any::<bool>(),
+            plan in prop_oneof![
+                Just(None),
+                fault_plan(0.1, 0.05).prop_map(Some),
+                crash_plan(2, 20..300).prop_map(Some),
+                slow_plan(2).prop_map(Some),
+            ],
+        ) {
+            let mut cfg = MachineConfig::manna(nodes)
+                .with_queue(if heap { QueueKind::Heap } else { QueueKind::Radix });
+            if let Some(plan) = plan {
+                cfg = cfg.with_faults(plan);
+            }
+            let report = |reference: bool| {
+                let mut rt = spawn_runtime(cfg.clone(), seed, reference);
+                rt.set_stealing(stealing);
+                for &(raw, depth, fan) in &roots {
+                    rt.inject_token_on(NodeId(raw % nodes), FuncId(0), &[depth, fan][..]);
+                }
+                format!("{:?}", rt.run())
+            };
+            prop_assert_eq!(report(false), report(true));
+        }
+
+        #[test]
         fn idle_index_matches_reference_scan(
             nodes in 2u16..130,
             seed in any::<u64>(),
             ops in collection::vec((any::<u16>(), 0u8..7), 1..200),
         ) {
             let mut rt = Runtime::new(MachineConfig::manna(nodes), seed);
-            rt.register("spawn", |a| Box::new(Spawn { depth: a.u8() }));
+            rt.register("spawn", |a| Box::new(Spawn { depth: a.u8(), fan: 1 }));
             let mut now = VirtualTime::ZERO;
             for &(raw, kind) in &ops {
                 let i = (raw % nodes) as usize;

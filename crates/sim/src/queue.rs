@@ -18,6 +18,8 @@ use std::collections::BinaryHeap;
 pub struct EventQueue<E> {
     heap: BinaryHeap<MinEntry<VirtualTime, E>>,
     next_seq: u64,
+    /// Undrained extra members of batch events ([`EventQueue::hold`]).
+    held: usize,
     peak: usize,
 }
 
@@ -33,6 +35,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            held: 0,
             peak: 0,
         }
     }
@@ -43,9 +46,25 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(MinEntry::new(time, seq, event));
-        if self.heap.len() > self.peak {
-            self.peak = self.heap.len();
-        }
+        self.peak = self.peak.max(self.heap.len() + self.held);
+    }
+
+    /// Count `k` more logical events as pending without queueing them:
+    /// the extra members of a batch event that stands for `k + 1`
+    /// same-instant events. `peak_len` sees them until each is
+    /// [`release`](EventQueue::release)d, so one push plus `hold(k)`
+    /// reaches the same peak as `k + 1` pushes.
+    pub fn hold(&mut self, k: usize) {
+        self.held += k;
+        self.peak = self.peak.max(self.heap.len() + self.held);
+    }
+
+    /// Drain one held member (the counterpart of popping it).
+    pub fn release(&mut self) {
+        self.held = self
+            .held
+            .checked_sub(1)
+            .expect("release without a held member");
     }
 
     /// Remove and return the earliest event.
@@ -58,7 +77,7 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.key)
     }
 
-    /// Number of pending events.
+    /// Number of queued events (held batch members not included).
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -73,7 +92,8 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Largest number of events ever pending at once.
+    /// Largest number of events ever pending at once, held batch
+    /// members included.
     pub fn peak_len(&self) -> usize {
         self.peak
     }
@@ -82,6 +102,7 @@ impl<E> EventQueue<E> {
     /// result is known, e.g. after global termination is detected).
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.held = 0;
     }
 }
 

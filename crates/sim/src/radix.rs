@@ -2,9 +2,12 @@
 //!
 //! The reference [`EventQueue`] pays `O(log n)` per operation on a
 //! `BinaryHeap` of whole events. [`RadixQueue`] exploits two facts about
-//! simulator workloads: the pop clock never runs backwards, and most
-//! pushes come in same-instant bursts (the idle-node poll wakes a couple
-//! of dozen nodes at one instant).
+//! simulator workloads: the pop clock never runs backwards, and many
+//! pushes land on an instant already in the queue (a message arrival
+//! and the wake it triggers). The idle-node poll, which wakes dozens of
+//! nodes at one instant, pushes one batch event for all of them and
+//! [`hold`](RadixQueue::hold)s the rest, so `peak_len` still counts
+//! every logical event.
 //!
 //! * **Keys and slab.** The buckets hold 24-byte `(time, seq, slot)`
 //!   keys. Events sit still in a slab (`Vec<Option<E>>` plus a free
@@ -63,6 +66,8 @@ pub struct RadixQueue<E> {
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
+    /// Undrained extra members of batch events ([`RadixQueue::hold`]).
+    held: usize,
     peak: usize,
 }
 
@@ -84,6 +89,7 @@ impl<E> RadixQueue<E> {
             free: Vec::new(),
             next_seq: 0,
             len: 0,
+            held: 0,
             peak: 0,
         }
     }
@@ -94,7 +100,7 @@ impl<E> RadixQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.peak = self.peak.max(self.len);
+        self.peak = self.peak.max(self.len + self.held);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(event);
@@ -148,7 +154,22 @@ impl<E> RadixQueue<E> {
         Some(VirtualTime::from_ns(time))
     }
 
-    /// Number of pending events.
+    /// Count `k` more logical events as pending without queueing them,
+    /// exactly like [`EventQueue::hold`].
+    pub fn hold(&mut self, k: usize) {
+        self.held += k;
+        self.peak = self.peak.max(self.len + self.held);
+    }
+
+    /// Drain one held member, exactly like [`EventQueue::release`].
+    pub fn release(&mut self) {
+        self.held = self
+            .held
+            .checked_sub(1)
+            .expect("release without a held member");
+    }
+
+    /// Number of queued events (held batch members not included).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -163,13 +184,15 @@ impl<E> RadixQueue<E> {
         self.next_seq
     }
 
-    /// Largest number of events ever pending at once.
+    /// Largest number of events ever pending at once, held batch
+    /// members included.
     pub fn peak_len(&self) -> usize {
         self.peak
     }
 
-    /// Drop all pending events; `total_scheduled` and `peak_len` keep
-    /// counting across the clear, like the reference queue.
+    /// Drop all pending events and held members; `total_scheduled` and
+    /// `peak_len` keep counting across the clear, like the reference
+    /// queue.
     pub fn clear(&mut self) {
         for b in self.buckets.iter_mut() {
             b.clear();
@@ -180,6 +203,7 @@ impl<E> RadixQueue<E> {
         self.slab.clear();
         self.free.clear();
         self.len = 0;
+        self.held = 0;
     }
 
     /// File `key` in its bucket relative to `last` (`key.time >= last`).
@@ -304,7 +328,24 @@ impl<E> SimQueue<E> {
         }
     }
 
-    /// Number of pending events.
+    /// Count `k` more logical events as pending without queueing them
+    /// (see [`EventQueue::hold`]).
+    pub fn hold(&mut self, k: usize) {
+        match self {
+            SimQueue::Heap(q) => q.hold(k),
+            SimQueue::Radix(q) => q.hold(k),
+        }
+    }
+
+    /// Drain one held member.
+    pub fn release(&mut self) {
+        match self {
+            SimQueue::Heap(q) => q.release(),
+            SimQueue::Radix(q) => q.release(),
+        }
+    }
+
+    /// Number of queued events (held batch members not included).
     pub fn len(&self) -> usize {
         match self {
             SimQueue::Heap(q) => q.len(),
@@ -328,7 +369,8 @@ impl<E> SimQueue<E> {
         }
     }
 
-    /// Largest number of events ever pending at once.
+    /// Largest number of events ever pending at once, held batch
+    /// members included.
     pub fn peak_len(&self) -> usize {
         match self {
             SimQueue::Heap(q) => q.peak_len(),
@@ -534,6 +576,56 @@ mod tests {
         // Still usable after clear.
         q.push(t(1), ());
         assert_eq!(q.pop(), Some((t(1), ())));
+    }
+
+    #[test]
+    fn hold_counts_toward_peak_like_pushes() {
+        // Two queued events, then a batch of four: one push, three held.
+        let mut pushes = RadixQueue::new();
+        let mut batch = RadixQueue::new();
+        for q in [&mut pushes, &mut batch] {
+            q.push(t(1), 0);
+            q.push(t(2), 0);
+        }
+        for _ in 0..4 {
+            pushes.push(t(3), 0);
+        }
+        batch.push(t(3), 0);
+        batch.hold(3);
+        assert_eq!(batch.peak_len(), 6);
+        assert_eq!(batch.peak_len(), pushes.peak_len());
+        assert_eq!(batch.len(), 3, "held members are not queued");
+    }
+
+    #[test]
+    fn hold_members_count_until_released() {
+        let mut q = RadixQueue::new();
+        q.push(t(1), "batch");
+        q.hold(2);
+        assert_eq!(q.pop(), Some((t(1), "batch")));
+        // Two members still undrained: a push now sees depth 3.
+        q.push(t(2), "a");
+        q.push(t(2), "b");
+        assert_eq!(q.peak_len(), 4);
+        q.release();
+        q.release();
+        q.push(t(3), "c");
+        assert_eq!(q.peak_len(), 4, "released members no longer count");
+        q.hold(5);
+        assert_eq!(q.peak_len(), 8);
+        q.clear();
+        for _ in 0..8 {
+            q.push(t(4), "d");
+        }
+        assert_eq!(q.peak_len(), 8, "clear drops held members, keeps the peak");
+        q.push(t(4), "e");
+        assert_eq!(q.peak_len(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "release without a held member")]
+    fn release_without_hold_panics() {
+        RadixQueue::<()>::new().release();
     }
 
     #[test]

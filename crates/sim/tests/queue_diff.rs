@@ -329,3 +329,87 @@ fn keys_straddle_every_radix_bucket_boundary() {
     }
     check_equivalent("bucket_boundaries", &s.ops);
 }
+
+#[test]
+fn hold_after_one_push_peaks_like_k_pushes() {
+    // A batch event standing for `k` same-instant events is one push
+    // plus `hold(k - 1)`; its logical depth must peak exactly where `k`
+    // separate pushes would, whatever is already queued.
+    for kind in [QueueKind::Heap, QueueKind::Radix] {
+        for base in [0u64, 1, 7] {
+            for k in 1..=70usize {
+                let mut pushes = SimQueue::new(kind);
+                let mut batch = SimQueue::new(kind);
+                for i in 0..base {
+                    pushes.push(t(100 + i), ());
+                    batch.push(t(100 + i), ());
+                }
+                for _ in 0..k {
+                    pushes.push(t(50), ());
+                }
+                batch.push(t(50), ());
+                batch.hold(k - 1);
+                assert_eq!(
+                    batch.peak_len(),
+                    pushes.peak_len(),
+                    "{kind:?} base {base} k {k}"
+                );
+                assert_eq!(
+                    batch.len(),
+                    base as usize + 1,
+                    "held members are not queued"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn hold_release_interleavings_agree() {
+    // Random push / pop / hold / release sequences, releasing only what
+    // is held: both kinds report the same `len` at every step and the
+    // same `peak_len` throughout, and pops stay in lockstep.
+    for seed in 0..8u64 {
+        let mut rng = Rng::new(0x401D ^ seed);
+        let mut heap = SimQueue::new(QueueKind::Heap);
+        let mut radix = SimQueue::new(QueueKind::Radix);
+        let mut held = 0usize;
+        let mut now = 0u64;
+        let mut payload = 0u32;
+        for step in 0..4_000 {
+            match rng.gen_range(8) {
+                0..=2 => {
+                    let time = t(now + rng.gen_range(3_000));
+                    heap.push(time, payload);
+                    radix.push(time, payload);
+                    payload += 1;
+                }
+                3 | 4 => {
+                    let a = heap.pop();
+                    assert_eq!(a, radix.pop(), "seed {seed} step {step}: pop");
+                    if let Some((time, _)) = a {
+                        now = time.as_ns();
+                    }
+                }
+                5 => {
+                    let k = rng.gen_range(60) as usize;
+                    heap.hold(k);
+                    radix.hold(k);
+                    held += k;
+                }
+                _ if held > 0 => {
+                    heap.release();
+                    radix.release();
+                    held -= 1;
+                }
+                _ => {}
+            }
+            assert_eq!(heap.len(), radix.len(), "seed {seed} step {step}: len");
+            assert_eq!(
+                heap.peak_len(),
+                radix.peak_len(),
+                "seed {seed} step {step}: peak"
+            );
+        }
+    }
+}

@@ -34,10 +34,12 @@ TESTKIT_BENCH_SMOKE=1 cargo bench --offline --workspace >/dev/null
 echo "== benchmark tests (every workload through its oracle at smoke size, BENCHMARK.json drift check) =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== scan-free index equivalence (radix queue vs reference heap, token-holder and idle-set indexes vs reference scans) =="
+echo "== scan-free index equivalence (radix queue vs reference heap, held batch depth, token-holder and idle-set indexes vs reference scans, batched idle-poll wakes vs per-Wake reference) =="
 cargo test -q --offline -p earth-sim --test queue_diff
+cargo test -q --offline -p earth-sim --lib hold
 cargo test -q --offline --test queue_apps
 cargo test -q --offline -p earth-rt --lib index_matches_reference_scan
+cargo test -q --offline -p earth-rt --lib wake_batch
 
 # Smoke sweeps, each run twice: the reruns must be byte-identical and
 # carry every listed schema landmark. Fields: experiment|title|grep
